@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
+from ._search import logit_points
 from .duality import dual_numeric, dual_pl, duality_discontinuity_demo, young_check
 from .dynamics import (
     LSRBoundReport,
@@ -145,12 +146,14 @@ class Runner:
                                     version=__version__)
 
     def read_expr(self, path):
+        f = _load_expr(path)
         self.manifest.inputs[path] = _digest(path)
-        return _load_expr(path)
+        return f
 
     def read_family(self, path):
+        fam = _load_family(path)
         self.manifest.inputs[path] = _digest(path)
-        return _load_family(path)
+        return fam
 
     def write(self, path, text):
         _write_atomic(path, text)
@@ -192,9 +195,7 @@ def cmd_dual(run):
         payload = expr_to_dict(g)
     else:
         if f.dim == 2:
-            t = np.linspace(-10, 10, args.samples)
-            s = 1.0 / (1.0 + np.exp(-t))
-            pts = np.stack([s, 1.0 - s], axis=1)
+            pts = logit_points(np.linspace(-10, 10, args.samples))
         else:
             rng = np.random.default_rng(args.seed or 0)
             pts = rng.dirichlet(np.ones(f.dim), size=args.samples)
@@ -238,19 +239,13 @@ def cmd_autopolar(run):
     else:
         print(json.dumps(out, indent=2))
     if args.svg:
-        dual_chain = polygon_chain_from_vertices(antipolar(poly.to_polytope()).vertices())
+        dual_chain = polygon_chain(antipolar(poly.to_polytope()).vertices())
         render(args.svg,
-               curves=[(polygon_chain(poly), "#1f77b4", None),
+               curves=[(polygon_chain(poly.vertices), "#1f77b4", None),
                        (dual_chain, "#d62728", "6 4")],
                points=[(a, "#2ca02c")])
         run.manifest.outputs[args.svg] = _digest(args.svg)
         run.say(f"wrote {args.svg}")
-
-
-def polygon_chain_from_vertices(V):
-    top = V[0] + np.array([0.0, 10.0])
-    right = V[-1] + np.array([10.0, 0.0])
-    return [top, *V, right]
 
 
 def cmd_selfdual_check(run):
@@ -284,7 +279,7 @@ def cmd_lsr(run):
         cert = perron_certificate(fam.matrices[0])
     else:
         cert = res.antinorm
-    lower = lsr_lower_certificate(fam, cert, tol=args.tol)
+    lower = lsr_lower_certificate(fam, cert)
     report = LSRBoundReport(lower=lower, upper=upper, certificate=as_pl(cert),
                             witness_product=word, iterations=res.iterations,
                             estimate_low=res.gamma_low, estimate_high=res.gamma_high)
@@ -340,14 +335,23 @@ def cmd_trig(run):
         raise SystemExit2(f"bad --theta-range {args.theta_range!r}, expected a:b:n")
     ctx = TrigContext.build(f, mode=args.mode)
     ok, _dev = is_selfdual(f, tol=1e-6, n_grid=200)
-    ctx_dual = ctx if ok else TrigContext.build(dual_pl(as_pl(f)), mode=args.mode) \
-        if as_pl(f) is not None else ctx
+    pl = as_pl(f)
+    # the identity needs the dual's own antisphere: f itself when self-dual,
+    # the exact dual for PL input; other antinorms have none to check against
+    if ok:
+        ctx_dual = ctx
+    elif pl is not None:
+        ctx_dual = TrigContext.build(dual_pl(pl), mode=args.mode)
+    else:
+        ctx_dual = None
     rows = ["theta,cosh,sinh,identity_residual"]
     for t in thetas:
         try:
             c, s = ctx.cosh_sinh(float(t))
-            rep = identity_check(ctx, thetas=[float(t)], ctx_dual=ctx_dual)
-            res = rep.max_residual if rep.checked else math.nan
+            res = math.nan
+            if ctx_dual is not None:
+                rep = identity_check(ctx, thetas=[float(t)], ctx_dual=ctx_dual)
+                res = rep.max_residual if rep.checked else math.nan
             rows.append(f"{_g(t)},{_g(c)},{_g(s)},{_g(res)}")
         except AntinormError:
             rows.append(f"{_g(t)},nan,nan,nan")

@@ -6,7 +6,9 @@ implemented and checked here:
 
 * exact piecewise-linear duality: the functionals of f* are the vertices
   of the antiball of f (``dual_pl``),
-* a certified numeric dual for black-box antinorms (``dual_numeric``),
+* a numeric dual estimate for black-box antinorms (``dual_numeric``); with
+  ``certify=True`` it takes the minimum with a solve on a denser grid, which
+  is still an estimate, not a certified bound,
 * the Young-type inequality  f*(p) f(x) <= <p, x>  (``young_check``); note
   the product bounds the pairing from *below*, the reverse of the norm
   case, since the dual is an infimum,
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._search import golden_section, logit_points, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 from .exprs import (
@@ -110,24 +113,17 @@ _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps samples interi
 _GOLDEN_ITERS = 90
 
 
-def _sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-u))
-
-
 def _ratio_2d(f, P, u):
     """Objective <p, x(u)>/f(x(u)) for each (row of P, entry of u) pair."""
-    s = _sigmoid(u)
-    X = np.stack([s, 1.0 - s], axis=-1)
-    fv = f._values(X.reshape(-1, 2)).reshape(s.shape)
-    num = (P * X).sum(axis=-1) if P.shape == X.shape else None
-    if num is None:
-        raise ValueError("shape mismatch in ratio evaluation")
+    X = logit_points(u)
+    fv = f._values(X.reshape(-1, 2)).reshape(u.shape)
+    num = (P * X).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(fv > 0, num / np.where(fv > 0, fv, 1.0), np.inf)
     return r
 
 
-def _dual2_batch(f, P, tol=DEFAULT.dual, n_coarse=1025, iters=_GOLDEN_ITERS):
+def _dual2_batch(f, P, n_coarse=1025, iters=_GOLDEN_ITERS):
     """Vectorized 2-d duals: golden section on the logit of the simplex.
 
     The ratio <p,x>/f(x) is quasiconvex on the simplex (its sublevel sets
@@ -138,8 +134,7 @@ def _dual2_batch(f, P, tol=DEFAULT.dual, n_coarse=1025, iters=_GOLDEN_ITERS):
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     u = np.linspace(-_UMAX, _UMAX, n_coarse)
-    s = _sigmoid(u)
-    X = np.stack([s, 1.0 - s], axis=1)
+    X = logit_points(u)
     fv = f._values(X)
     if np.all(fv <= 0):
         raise DegenerateBodyError("antinorm vanishes on the whole sample set")
@@ -149,51 +144,15 @@ def _dual2_batch(f, P, tol=DEFAULT.dual, n_coarse=1025, iters=_GOLDEN_ITERS):
     best = ratios[np.arange(P.shape[0]), idx]
     lo = u[np.maximum(idx - 1, 0)]
     hi = u[np.minimum(idx + 1, n_coarse - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = _ratio_2d(f, P, c)
-    fd = _ratio_2d(f, P, d)
-    for _ in range(iters):
-        left = fc < fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        c_new = np.where(left, hi - invphi * (hi - lo), d)
-        d_new = np.where(left, c, lo + invphi * (hi - lo))
-        fresh = np.where(left, c_new, d_new)
-        vals = _ratio_2d(f, P, fresh)
-        fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
-        c, d = c_new, d_new
-    refined = np.minimum(np.minimum(fc, fd), best)
-    return refined
+    _, _, refined = golden_section(lambda v: _ratio_2d(f, P, v), lo, hi, iters)
+    return np.minimum(refined, best)
 
 
-def _simplex_grid(d, n):
-    """Lattice points of the unit simplex at resolution n, pushed interior."""
-    if d == 2:
-        t = np.linspace(0.0, 1.0, n + 1)
-        pts = np.stack([t, 1.0 - t], axis=1)
-    else:
-        from itertools import combinations
-
-        pts = []
-        for bars in combinations(range(n + d - 1), d - 1):
-            c, prev, comp = 0, -1, []
-            for b in bars:
-                comp.append(b - prev - 1)
-                prev = b
-            comp.append(n + d - 1 - prev - 1)
-            pts.append(comp)
-        pts = np.array(pts, dtype=float) / n
-    pts = np.maximum(pts, 1e-14)
-    return pts / pts.sum(axis=1, keepdims=True)
-
-
-def _dual_nd(f, p, tol, resolution=None, n_starts=8, seed=0, maxiter=500):
+def _dual_nd(f, p, resolution=None, n_starts=8, seed=0, maxiter=500):
     d = f.dim
     if resolution is None:
         resolution = {3: 64, 4: 24}.get(d, 16)
-    grid = _simplex_grid(d, resolution)
+    grid = simplex_grid(d, resolution)
     fv = f._values(grid)
     if np.all(fv <= 0):
         raise DegenerateBodyError("antinorm vanishes on the whole sample set")
@@ -228,39 +187,39 @@ def dual_numeric(f, p, tol=DEFAULT.dual, n_coarse=1025, iters=_GOLDEN_ITERS, cer
 
     The ratio is scale-invariant, so the compact simplex suffices.  Sampling
     stays in the interior (liminf convention at the boundary); d = 2 refines
-    by golden section, d >= 3 by multi-start local descent.  With ``certify``
-    the refined value is cross-checked against a denser fallback grid and
-    re-refined when the grid beats it by more than ``tol`` relative accuracy.
-    Nested duals (dual-of-dual) pass smaller ``n_coarse`` and skip
-    certification to stay affordable.
+    by golden section, d >= 3 by multi-start local descent.  The result is
+    an estimate, not a certified bound.  With ``certify`` it is the minimum
+    of this solve and a second one on a denser grid, which can only lower
+    an overestimate.  Nested duals (dual-of-dual) pass smaller ``n_coarse``
+    and skip the second solve to stay affordable.  ``tol`` must be positive
+    and is recorded by ``NumericDualAntinorm``, but no stopping rule reads
+    it yet.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = as_point(p, f.dim)
     if f.dim == 2:
-        val = float(_dual2_batch(f, q[None, :], tol=tol, n_coarse=n_coarse, iters=iters)[0])
+        val = float(_dual2_batch(f, q[None, :], n_coarse=n_coarse, iters=iters)[0])
         if certify:
-            dense = float(_dual2_batch(f, q[None, :], tol=tol, n_coarse=4 * n_coarse + 1, iters=iters)[0])
-            if not (dense >= val - tol * (1.0 + abs(val))):
-                val = dense
+            dense = float(_dual2_batch(f, q[None, :], n_coarse=4 * n_coarse + 1, iters=iters)[0])
             val = min(val, dense)
         return val
-    val = _dual_nd(f, q, tol, resolution=resolution, n_starts=n_starts, maxiter=maxiter)
+    val = _dual_nd(f, q, resolution=resolution, n_starts=n_starts, maxiter=maxiter)
     if certify:
         base = resolution or {3: 64, 4: 24}.get(f.dim, 16)
-        dense = _dual_nd(f, q, tol, resolution=base * 2, n_starts=4)
+        dense = _dual_nd(f, q, resolution=base * 2, n_starts=4)
         val = min(val, dense)
     return val
 
 
-def _dual_values(f, P, tol=DEFAULT.dual):
+def _dual_values(f, P):
     """Dual values at a batch of points, exact for PL, else numeric."""
     pl = as_pl(f)
     if pl is not None and pl.dim <= 4:
         return dual_pl(pl)._values(np.atleast_2d(P))
     if f.dim == 2:
-        return _dual2_batch(f, P, tol=tol)
-    return np.array([dual_numeric(f, row, tol=tol) for row in np.atleast_2d(P)])
+        return _dual2_batch(f, P)
+    return np.array([dual_numeric(f, row) for row in np.atleast_2d(P)])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +333,7 @@ def duality_discontinuity_demo(eps_list, bound_samples=50, seed=0):
         f = BuiltinAntinorm("min_eps", eps=eps)
         at_e1.append(dual_numeric(f, e1, tol=1e-10))
         P = rng.lognormal(0.0, 1.0, size=(bound_samples, 2))
-        vals = _dual2_batch(f, P, tol=1e-10)
+        vals = _dual2_batch(f, P)
         bound = (2.0 / eps) * np.sqrt(P[:, 0] * P[:, 1])
         max_excess = max(max_excess, float(np.max(vals - bound)))
     f0_dual = dual_pl(BuiltinAntinorm("min", dim=2))

@@ -42,6 +42,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
+from ._search import aitken_limit, golden_section, logit_points, simplex_grid
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
 from .exprs import PLAntinorm, as_pl
 from .geometry import ConicPolytope, positive_hull_value, prune_positive_hull
@@ -307,16 +308,17 @@ def perron_certificate(A):
     return PLAntinorm(u[None, :])
 
 
-def lsr_lower_certificate(family, f, tol=1e-8, grid_n=4097, refine=True):
+def lsr_lower_certificate(family, f):
     """Certified bound gamma = inf_x min_A f(Ax)/f(x)  (so rho_check >= gamma).
 
     Piecewise-linear f in dim <= 4: the infimum equals the minimum over the
     vertices of the antiball of f.  For x in the antiball, x is a convex
     combination of vertices plus a nonnegative shift, and superadditivity
     with monotonicity push f(Ax) below the vertex values; the bound is
-    therefore exact, not sampled.  Other antinorms fall back to dense
-    simplex sampling with golden-section refinement of the best brackets,
-    and the result is certified only to the documented sampling density.
+    therefore exact, not sampled.  Other antinorms fall back to sampling:
+    4097 logit points in d = 2, refined by golden section around the best
+    one, and the simplex lattice in d >= 3.  That result is an estimate,
+    good only to the sampling density.
     """
     if family.allow_negative:
         raise NegativeCoordinateError("lower bounds require nonnegative matrices")
@@ -326,33 +328,23 @@ def lsr_lower_certificate(family, f, tol=1e-8, grid_n=4097, refine=True):
         V = ConicPolytope.from_halfspaces(pl.functionals).vertices()
         vals = np.min(np.stack([pl._values(V @ A.T) for A in mats]), axis=0)
         return float(np.min(vals))
-    d = family.dim
-    if d == 2:
-        t = np.linspace(-16.0, 16.0, grid_n)
-        s = 1.0 / (1.0 + np.exp(-t))
-        X = np.stack([s, 1.0 - s], axis=1)
-    else:
-        from .duality import _simplex_grid
 
-        X = _simplex_grid(d, {3: 64, 4: 28}.get(d, 16))
-    fx = f._values(X)
-    ok = fx > 1e-14
-    X, fx = X[ok], fx[ok]
-    ratios = np.min(np.stack([f._values(X @ A.T) for A in mats]), axis=0) / fx
-    gamma = float(np.min(ratios))
-    if refine and d == 2:
-        j = int(np.argmin(ratios))
-        lo = max(0, j - 1)
-        hi = min(len(X) - 1, j + 1)
-        tt = np.linspace(t[lo], t[hi], 257)
-        ss = 1.0 / (1.0 + np.exp(-tt))
-        XX = np.stack([ss, 1.0 - ss], axis=1)
-        ffx = f._values(XX)
-        keep = ffx > 1e-14
-        if np.any(keep):
-            rr = np.min(np.stack([f._values(XX[keep] @ A.T) for A in mats]), axis=0) / ffx[keep]
-            gamma = min(gamma, float(np.min(rr)))
-    return gamma
+    def ratio(X):
+        fx = f._values(X)
+        ok = fx > 1e-14
+        r = np.full(len(X), np.inf)
+        r[ok] = np.min(np.stack([f._values(X[ok] @ A.T) for A in mats]), axis=0) / fx[ok]
+        return r
+
+    d = family.dim
+    if d > 2:
+        return float(np.min(ratio(simplex_grid(d, {3: 64, 4: 28}.get(d, 16)))))
+    t = np.linspace(-16.0, 16.0, 4097)
+    ratios = ratio(logit_points(t))
+    j = int(np.argmin(ratios))
+    _, _, refined = golden_section(lambda u: ratio(logit_points(u)),
+                                   t[[max(0, j - 1)]], t[[min(len(t) - 1, j + 1)]], 60)
+    return float(min(ratios[j], refined[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +371,6 @@ class BodyIterationResult:
     iterations: int
     support_ratios: list = field(default_factory=list)
     stalled: bool = False
-
-
-def _aitken_last(seq):
-    v = np.asarray(seq, dtype=float)
-    while len(v) >= 3:
-        d2 = v[2:] - 2 * v[1:-1] + v[:-2]
-        ok = np.abs(d2) > 1e-14 * (1.0 + np.abs(v[2:]))
-        nxt = v[2:].copy()
-        nxt[ok] = v[2:][ok] - (v[2:][ok] - v[1:-1][ok]) ** 2 / d2[ok]
-        v = nxt
-    return float(v[-1])
 
 
 def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
@@ -470,7 +451,7 @@ def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
         # ratios (handles period-2 alternation), Aitken-accelerated
         if len(ratios) >= 2:
             g2 = [math.sqrt(ratios[i] * ratios[i + 1]) for i in range(len(ratios) - 1)]
-            est = _aitken_last(g2[-6:])
+            est = aitken_limit(g2[-6:])
         else:
             est = ratios[-1]
         residual = abs(est / gamma_near - 1.0) if gamma_near > 0 else 1.0
@@ -531,9 +512,7 @@ def transpose_extremal_check(family, f, tol=0.02, body_tol=0.1):
     Vstar = np.array(ConicPolytope.from_halfspaces(pl.functionals).canonical().halfspaces)
     image = prune_positive_hull(np.concatenate([Vstar @ A for A in family.matrices], axis=0))
     if family.dim == 2:
-        t = np.linspace(-2.5, 2.5, 41)
-        s = 1.0 / (1.0 + np.exp(-t))
-        probes = np.stack([s, 1.0 - s], axis=1)
+        probes = logit_points(np.linspace(-2.5, 2.5, 41))
     else:
         rng = np.random.default_rng(0)
         probes = rng.dirichlet(3.0 * np.ones(family.dim), size=48)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from ._search import aitken_limit, golden_section
 from .config import DEFAULT
 from .errors import DimensionMismatchError, NegativeCoordinateError
 
@@ -447,8 +448,7 @@ class NumericDualAntinorm(Antinorm):
         from .duality import _dual2_batch, dual_numeric  # deferred: duality imports exprs
 
         if self.dim == 2:
-            return _dual2_batch(self.inner, X, tol=self.tol,
-                                n_coarse=self.n_coarse, iters=self.iters)
+            return _dual2_batch(self.inner, X, n_coarse=self.n_coarse, iters=self.iters)
         return np.array([
             dual_numeric(self.inner, row, tol=self.tol, certify=self.certify,
                          resolution=self.resolution, n_starts=self.n_starts,
@@ -523,29 +523,16 @@ class ConeSplitAntinorm(Antinorm):
     def _support_min(self, X):
         out = np.empty(X.shape[0])
         chunk = 512
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
         for start in range(0, X.shape[0], chunk):
             B = X[start:start + chunk]
             D = B @ self._table.T
             idx = np.argmin(D, axis=1)
             lo = self._phis[np.maximum(idx - 1, 0)]
             hi = self._phis[np.minimum(idx + 1, len(self._phis) - 1)]
-            # vectorized golden section on the bracket
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc = np.einsum("ij,ij->i", self._sphere_point(c), B)
-            fd = np.einsum("ij,ij->i", self._sphere_point(d), B)
             base = np.take_along_axis(D, idx[:, None], axis=1)[:, 0]
-            for _ in range(60):
-                left = fc < fd
-                hi = np.where(left, d, hi)
-                lo = np.where(left, lo, c)
-                c_new = np.where(left, hi - invphi * (hi - lo), d)
-                d_new = np.where(left, c, lo + invphi * (hi - lo))
-                fresh = np.einsum("ij,ij->i", self._sphere_point(np.where(left, c_new, d_new)), B)
-                fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
-                c, d = c_new, d_new
-            out[start:start + chunk] = np.minimum(np.minimum(fc, fd), base)
+            _, _, refined = golden_section(
+                lambda phi: np.einsum("ij,ij->i", self._sphere_point(phi), B), lo, hi, 60)
+            out[start:start + chunk] = np.minimum(refined, base)
         return out
 
     def _values(self, X):
@@ -639,15 +626,6 @@ def as_pl(f):
 # continuous extension by the boundary limit
 # ---------------------------------------------------------------------------
 
-def _aitken(v):
-    d1 = v[2:] - v[1:-1]
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    out = v[2:].copy()
-    ok = np.abs(d2) > 1e-14 * (1.0 + np.abs(v[2:]))
-    out[ok] = v[2:][ok] - d1[ok] ** 2 / d2[ok]
-    return out
-
-
 def continuous_extension_eval(f, x, witness, ks=(2, 3, 4, 5, 6, 7, 8)):
     """Boundary value of the unique continuous extension of ``f``.
 
@@ -671,11 +649,7 @@ def continuous_extension_eval(f, x, witness, ks=(2, 3, 4, 5, 6, 7, 8)):
     v = f._values(pts)
     if np.max(np.abs(np.diff(v))) < 1e-13 * (1.0 + np.abs(v[-1])):
         return float(v[-1])
-    for _ in range(3):
-        if len(v) < 3:
-            break
-        v = _aitken(v)
-    return float(v[-1])
+    return aitken_limit(v)
 
 
 # ---------------------------------------------------------------------------

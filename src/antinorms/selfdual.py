@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import golden_section, logit_points, simplex_grid
 from .config import DEFAULT
+from .duality import _dual2_batch, dual_numeric, dual_pl
 from .errors import (
     DimensionMismatchError,
     InfeasibleSeedError,
@@ -353,7 +355,7 @@ def _pl_boundary_candidates(pl):
     return np.array(cands)
 
 
-def closest_antisphere_point(f, tol=1e-9):
+def closest_antisphere_point(f):
     """The antisphere point nearest the origin, and the runner-up distance.
 
     Returns ``(point, second_distance)`` where ``second_distance`` is the
@@ -377,21 +379,16 @@ def closest_antisphere_point(f, tol=1e-9):
                 minima.append(0)
             if np.isfinite(r[-1]) and r[-1] <= r[-2]:
                 minima.append(len(r) - 1)
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+            def radius(phi):
+                return 1.0 / np.maximum(f._values(np.stack([np.cos(phi), np.sin(phi)], axis=1)), 1e-300)
+
+            minima = np.array(minima, dtype=int)
+            lo, hi, _ = golden_section(radius, phis[np.maximum(minima - 1, 0)],
+                                       phis[np.minimum(minima + 1, len(phis) - 1)], 60)
             cands = []
-            for j in minima:
-                lo = phis[max(j - 1, 0)]
-                hi = phis[min(j + 1, len(phis) - 1)]
-                for _ in range(60):
-                    c = hi - invphi * (hi - lo)
-                    d = lo + invphi * (hi - lo)
-                    rc = 1.0 / max(f.value([math.cos(c), math.sin(c)]), 1e-300)
-                    rd = 1.0 / max(f.value([math.cos(d), math.sin(d)]), 1e-300)
-                    if rc < rd:
-                        hi = d
-                    else:
-                        lo = c
-                m = _polish_tangency(f, 0.5 * (lo + hi))
+            for mid in 0.5 * (lo + hi):
+                m = _polish_tangency(f, float(mid))
                 u = np.array([math.cos(m), math.sin(m)])
                 cands.append(u / f.value(u))
             cands = np.array(cands)
@@ -419,7 +416,7 @@ def contact_point(f, tol=1e-9, unique_margin=DEFAULT.contact_unique):
     strictly outside the unit sphere.  Raises ``NotSelfDualError`` when no
     unit-distance point exists or the minimizer is ambiguous.
     """
-    a, second = closest_antisphere_point(f, tol)
+    a, second = closest_antisphere_point(f)
     dist = float(np.linalg.norm(a))
     if abs(dist - 1.0) > max(tol, 1e-9):
         raise NotSelfDualError(
@@ -440,14 +437,10 @@ def _probe_grid(dim, n):
     """Deterministic interior probe points on the unit simplex, spread
     logarithmically toward the boundary."""
     if dim == 2:
-        tau = np.linspace(-14.0, 14.0, n)
-        s = 1.0 / (1.0 + np.exp(-tau))
-        return np.stack([s, 1.0 - s], axis=1)
-    from .duality import _simplex_grid
-
+        return logit_points(np.linspace(-14.0, 14.0, n))
     res = 2
     while True:
-        g = _simplex_grid(dim, res)
+        g = simplex_grid(dim, res)
         if g.shape[0] >= n:
             return g[:n]
         res += 1
@@ -462,23 +455,15 @@ def is_selfdual(f, tol=1e-7, n_grid=1000):
     X = _probe_grid(f.dim, n_grid)
     pl = as_pl(f)
     if pl is not None and pl.dim <= 4:
-        g = dual_pl_cached(pl)
+        g = dual_pl(pl)
         dev = float(np.max(np.abs(g._values(X) - pl._values(X))))
         return dev <= tol, dev
-    from .duality import _dual2_batch, dual_numeric
-
     if f.dim == 2:
         fstar = _dual2_batch(f, X)
     else:
         fstar = np.array([dual_numeric(f, row, certify=False) for row in X])
     dev = float(np.max(np.abs(fstar - f._values(X))))
     return dev <= tol, dev
-
-
-def dual_pl_cached(pl):
-    from .duality import dual_pl
-
-    return dual_pl(pl)
 
 
 @dataclass(frozen=True)

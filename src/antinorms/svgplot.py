@@ -35,8 +35,8 @@ def antisphere_points(f, n=400):
     return _clip(list(U[keep] / vals[keep, None]))
 
 
-def polygon_chain(poly, reach=3 * VIEW):
-    V = poly.vertices
+def polygon_chain(V, reach=3 * VIEW):
+    """Vertex chain closed by a vertical ray from V[0] and a horizontal one from V[-1]."""
     top = V[0] + np.array([0.0, reach])
     right = V[-1] + np.array([reach, 0.0])
     return [top, *V, right]

@@ -8,7 +8,7 @@ import pytest
 from antinorms import catalog
 from antinorms.cli import main
 from antinorms.serialize import expr_to_dict, family_to_dict
-from antinorms import MatrixFamily
+from antinorms import MatrixFamily, TrigContext
 
 
 @pytest.fixture
@@ -158,6 +158,35 @@ def test_trig_command_csv(files, capsys):
         assert c == pytest.approx(math.cosh(t), abs=1e-8)
         assert s == pytest.approx(math.sinh(t), abs=1e-8)
         assert r <= 1e-7
+
+
+def test_trig_without_dual_context_keeps_values(files):
+    tmp, write = files
+    for name, spec, finite in [("min_eps", "-1.5:1.5:7", [True] * 7),
+                               ("circle_arc", "-3:3:7", [False, False, True, True, True, False, False])]:
+        f = catalog(name)
+        angle = TrigContext.build(f).frame_angle
+        out = str(tmp / f"{name}.csv")
+        assert main(["trig", "--antinorm", write(f"{name}.json", expr_to_dict(f)),
+                     "--theta-range", spec, "--output", out, "--quiet"]) == 0
+        rows = open(out).read().strip().splitlines()[1:]
+        assert len(rows) == len(finite)
+        for row, ok in zip(rows, finite):
+            t, c, s, r = map(float, row.split(","))
+            assert math.isnan(r)
+            if not ok:
+                assert math.isnan(c) and math.isnan(s)
+                continue
+            P = [c * math.cos(angle) - s * math.sin(angle), c * math.sin(angle) + s * math.cos(angle)]
+            assert f.value(P) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_missing_input_file_exit_2(files, capsys):
+    tmp, _ = files
+    missing = str(tmp / "nosuch.json")
+    for argv in (["dual", "--input", missing], ["lsr", "--family", missing]):
+        assert main(argv + ["--quiet"]) == 2
+        assert "input file not found" in capsys.readouterr().err
 
 
 def test_demo_discontinuity(files, capsys):
