@@ -189,9 +189,9 @@ def cmd_dual(run):
     args = run.args
     f = run.read_expr(args.input)
     pl = as_pl(f)
-    report = young_check(f, samples=2000, seed=args.seed or 0)
-    if pl is not None and pl.dim <= 4:
-        g = dual_pl(pl)
+    g = dual_pl(pl) if pl is not None and pl.dim <= 4 else None
+    report = young_check(f, samples=2000, seed=args.seed or 0, dual=g)
+    if g is not None:
         payload = expr_to_dict(g)
     else:
         if f.dim == 2:

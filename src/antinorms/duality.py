@@ -226,13 +226,14 @@ def _dual_values(f, P):
 # checks
 # ---------------------------------------------------------------------------
 
-def young_check(f, samples=1000, seed=0):
+def young_check(f, samples=1000, seed=0, dual=None):
     """Sample the Young-type inequality  f*(p) f(x) <= <p, x>.
 
     Reports the largest positive excess of f*(p)f(x) over the pairing,
     clipped at zero; for a genuine antinorm it must stay below the dual
     solver tolerance.  Equality is attained at minimizing pairs, e.g.
-    x = p = (1,1) for f = sqrt(2xy).
+    x = p = (1,1) for f = sqrt(2xy).  A caller that already holds f* passes
+    it as ``dual``, and its values are used instead of computing f* again.
     """
     rng = np.random.default_rng(seed)
     d = f.dim
@@ -243,7 +244,7 @@ def young_check(f, samples=1000, seed=0):
     face = rng.random(n_x) < 0.2
     if np.any(face):
         X[np.nonzero(face)[0], rng.integers(0, d, size=face.sum())] = 0.0
-    fstar = _dual_values(f, P)
+    fstar = _dual_values(f, P) if dual is None else dual._values(P)
     fx = f._values(X)
     excess = fstar[:, None] * fx[None, :] - P @ X.T
     violation = max(0.0, float(np.max(excess)))

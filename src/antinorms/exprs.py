@@ -30,6 +30,7 @@ from scipy.optimize import linprog
 from ._search import aitken_limit, golden_section
 from .config import DEFAULT
 from .errors import DimensionMismatchError, NegativeCoordinateError
+from .geometry import _prune_2d
 
 __all__ = [
     "Antinorm",
@@ -590,9 +591,15 @@ def canonicalize_pl(f, tol=DEFAULT.redundancy):
     A row a_j is redundant exactly when a convex combination of the other
     rows is componentwise <= a_j (then min_i <a_i, x> <= <a_j, x> on all of
     R^d_+ by monotonicity, and dropping a_j never changes the minimum).
-    Rows are examined in lexicographic order so the output is deterministic.
+    In d = 2 one staircase sweep drops a_j when a point of the chord between
+    its kept neighbours is <= a_j + tol * (1 + |a_j|_inf).  In d >= 3 one LP
+    per row, in lexicographic order, drops a_j when a convex combination of
+    the rows still kept is <= a_j + tol.  Either way the output is
+    deterministic.
     """
     A = np.unique(f.functionals, axis=0)  # sorts lexicographically
+    if A.shape[1] == 2:
+        return PLAntinorm(_prune_2d(A, tol))
     keep = list(range(A.shape[0]))
     i = 0
     while i < len(keep):

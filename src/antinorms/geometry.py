@@ -10,14 +10,18 @@ For a conic polytope the transform swaps roles of vertices and non-axis
 facets: the half-spaces of G* are exactly the vertices of G, and applying
 the transform twice returns the canonical form of G.
 
-Vertex enumeration (dim <= 4) is exhaustive over active constraint sets:
-every feasible basic solution of d linearly independent constraints drawn
-from {<a_j, x> >= 1} and {x_i >= 0} is an extreme point.  A batched
-floating-point pass picks the active sets (rank filter at 1e-12) and checks
-feasibility; each surviving vertex is then re-solved exactly from the
-same float rows (rational arithmetic on Python integers) and rounded once,
-so a vertex whose exact value is a float comes out as that float.  At desk scale
-this avoids incremental double-description bookkeeping.
+Vertex enumeration in d = 2 intersects neighbours: the irredundant
+functionals, sorted by their first coordinate, form a convex staircase
+(one monotone-chain sweep, ``_prune_2d``), and the vertices are the OX-axis
+vertex of the first row, the meeting points of neighbouring rows and the
+OY-axis vertex of the last row.  In d = 3, 4 it stays exhaustive over
+active constraint sets: every feasible basic solution of d linearly
+independent constraints drawn from {<a_j, x> >= 1} and {x_i >= 0} is an
+extreme point; a batched floating-point pass picks the active sets (rank
+filter at 1e-12) and checks feasibility.  Either way each vertex is then
+re-solved exactly from the same float rows (rational arithmetic on Python
+integers) and rounded once, so a vertex whose exact value is a float comes
+out as that float.
 """
 
 from __future__ import annotations
@@ -42,19 +46,24 @@ _FEAS_TOL = 1e-9
 
 
 def _dedupe_sorted(points, tol):
-    """Cluster near-duplicates and return rows sorted lexicographically."""
+    """Cluster near-duplicates and return rows sorted lexicographically.
+
+    In sorted order a row is dropped when an earlier kept row lies within
+    tol * (1 + |row|_inf) of it in the max norm.  Such a row has a first
+    coordinate at most that far below, so only that window is compared.
+    """
     if len(points) == 0:
         return np.empty((0, points.shape[1] if points.ndim == 2 else 0))
     pts = np.asarray(points, dtype=float)
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = [pts[0]]
-    for row in pts[1:]:
-        if all(np.max(np.abs(row - k)) > tol * (1.0 + np.max(np.abs(row))) for k in keep):
-            keep.append(row)
-    out = np.array(keep)
-    order = np.lexsort(out.T[::-1])
-    return out[order]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    reach = tol * (1.0 + np.max(np.abs(pts), axis=1))
+    # twice the reach, so rounding in the window bound never hides a row
+    start = np.searchsorted(pts[:, 0], pts[:, 0] - 2.0 * reach)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in np.nonzero(start < np.arange(len(pts)))[0]:
+        near = np.max(np.abs(pts[start[i]:i] - pts[i]), axis=1) <= reach[i]
+        keep[i] = not np.any(near & keep[start[i]:i])
+    return pts[keep]
 
 
 def _solve_exact(M, b):
@@ -80,11 +89,28 @@ def _solve_exact(M, b):
     return np.array([R[i][n] / R[i][i] for i in range(n)])
 
 
+def _vertices_2d(A, tol):
+    """Vertices in d = 2: axis vertices of the end rows, neighbours' meeting points."""
+    H = _prune_2d(A, tol)
+    cand = []
+    if H[0, 0] > 0:
+        cand.append(_solve_exact(np.array([H[0], [0.0, 1.0]]), np.array([1.0, 0.0])))
+    for a, b in zip(H[:-1], H[1:]):
+        cand.append(_solve_exact(np.array([a, b]), np.ones(2)))
+    if H[-1, 1] > 0:
+        cand.append(_solve_exact(np.array([H[-1], [1.0, 0.0]]), np.array([1.0, 0.0])))
+    if not cand:
+        raise DegenerateBodyError("conic polytope has no vertices (empty body?)")
+    return _dedupe_sorted(np.maximum(cand, 0.0), DEFAULT.vertex_dedupe)
+
+
 def _enumerate_vertices(halfspaces, tol=DEFAULT.geometry):
     A = np.atleast_2d(np.asarray(halfspaces, dtype=float))
     m, d = A.shape
     if d > 4:
         raise DimensionMismatchError("exact vertex enumeration supports dim <= 4")
+    if d == 2:
+        return _vertices_2d(A, tol)
     # constraint rows: <a_j, x> >= 1  and  x_i >= 0
     rows = np.vstack([A, np.eye(d)])
     rhs = np.concatenate([np.ones(m), np.zeros(d)])
@@ -221,26 +247,38 @@ def antipolar(G):
 # positive convex hulls:  co_+ X = co X + R^d_+
 # ---------------------------------------------------------------------------
 
-def _prune_2d(points, tol=1e-10):
-    pts = points[np.lexsort(points.T[::-1])]
-    # Pareto sweep: keep strictly decreasing y as x increases
-    kept = []
-    best_y = None
-    for p in pts:
-        if best_y is None or p[1] < best_y - tol * (1.0 + abs(p[1])):
-            kept.append(p)
-            best_y = p[1]
-    # convexity sweep on the lower-left staircase: a middle point on or above
-    # the chord of its neighbors is absorbed by co_+ and gets dropped
+def _chord_covers(a, p, b, tol):
+    """True if some point of the chord [a, p] is componentwise <= b + t,
+    t = tol * (1 + |b|_inf).
+
+    ``a`` and ``p`` are the kept neighbours of ``b`` in the staircase
+    (a_x < b_x < p_x, a_y > b_y > p_y); ``a`` is None when ``b`` comes first,
+    and the chord is then the point ``p`` alone.
+    """
+    t = tol * (1.0 + max(abs(b[0]), abs(b[1])))
+    if a is None:
+        return p[0] <= b[0] + t
+    # the chord point at lam is <= b + t in x for lam <= (b_x + t - a_x)/(p_x - a_x)
+    # and in y for lam >= (a_y - b_y - t)/(a_y - p_y); on a staircase the first
+    # bound is >= 0 and the second <= 1, so only their order matters
+    return (a[1] - b[1] - t) * (p[0] - a[0]) <= (b[0] + t - a[0]) * (a[1] - p[1])
+
+
+def _prune_2d(points, tol):
+    """Extreme points of co_+ {points} in d = 2, sorted by first coordinate.
+
+    One monotone-chain sweep (Andrew 1979) in lexicographic order.  A point
+    b is dropped when some point of the chord between its kept neighbours
+    is componentwise <= b + tol * (1 + |b|_inf): the meaning of the LP
+    margin in higher dimensions, measured as a length, never as an area.
+    """
     hull = []
-    for p in kept:
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross <= tol * (1.0 + abs(p[0]) + abs(p[1])):
-                hull.pop()
-            else:
-                break
+    for p in points[np.lexsort(points.T[::-1])].tolist():
+        # the last kept point has the smallest second coordinate so far
+        if hull and hull[-1][1] <= p[1] + tol * (1.0 + max(abs(p[0]), abs(p[1]))):
+            continue
+        while hull and _chord_covers(hull[-2] if len(hull) > 1 else None, p, hull[-1], tol):
+            hull.pop()
         hull.append(p)
     return np.array(hull)
 
@@ -266,8 +304,10 @@ def prune_positive_hull(points, tol=1e-10):
 
     A point is redundant iff a convex combination of the others is
     componentwise <= it (the +R^d_+ part absorbs dominated points).  d = 2
-    uses the exact staircase sweep; higher dimensions solve one small LP
-    feasibility problem per point.
+    uses the staircase sweep, which drops a point b when a point of the
+    chord between its kept neighbours is <= b + tol * (1 + |b|_inf); higher
+    dimensions solve one small LP feasibility problem per point, with the
+    combination <= b + tol.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] <= 1:

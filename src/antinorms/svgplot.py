@@ -1,12 +1,16 @@
 """Minimal SVG emission for antispheres and autopolar polygons.
 
 Fixed viewport [0, 3]^2 so images from different runs are comparable.
+Curves are clipped segment by segment to the box [0, 3.6]^2, a little
+beyond the viewport, so a curve that leaves the picture runs off its edge;
+a curve that leaves the box and comes back is drawn as separate pieces.
 """
 
 import numpy as np
 
 VIEW = 3.0
 SIZE = 480
+BOX = 1.2 * VIEW
 
 
 def _map(p):
@@ -22,17 +26,48 @@ def _polyline(points, color, width=2.0, dash=None):
             f'stroke-width="{width}"{d}/>')
 
 
+def _segment_span(p, q):
+    """Parameters t0 <= t1 of the part of p + t (q - p), 0 <= t <= 1, inside
+    [0, BOX]^2 (Liang-Barsky), or None when the segment misses the box."""
+    t0, t1 = 0.0, 1.0
+    for i in range(2):
+        step = q[i] - p[i]
+        for num, den in ((p[i], -step), (BOX - p[i], step)):  # p_i + t step >= 0, <= BOX
+            if den == 0:
+                if num < 0:
+                    return None
+            elif den < 0:
+                t0 = max(t0, num / den)
+            else:
+                t1 = min(t1, num / den)
+    return (t0, t1) if t0 <= t1 else None
+
+
 def _clip(points):
-    return [p for p in points if p[0] <= 1.2 * VIEW and p[1] <= 1.2 * VIEW]
+    """Pieces of the polyline inside [0, BOX]^2, each segment clipped to the box."""
+    pieces, cur = [], []
+    for p, q in zip(points[:-1], points[1:]):
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        span = _segment_span(p, q)
+        if span is None:
+            continue
+        t0, t1 = span
+        if t0 > 0 or not cur:       # the segment enters the box: a new piece
+            cur = [p if t0 == 0 else p + t0 * (q - p)]
+            pieces.append(cur)
+        cur.append(q if t1 == 1 else p + t1 * (q - p))
+        if t1 < 1:                  # the segment leaves the box
+            cur = []
+    return pieces
 
 
 def antisphere_points(f, n=400):
-    """Sampled antisphere of a 2-d antinorm inside the viewport."""
+    """Sampled antisphere of a 2-d antinorm; ``render`` clips it to the box."""
     phis = np.linspace(1e-4, np.pi / 2 - 1e-4, n)
     U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     vals = f._values(U)
     keep = vals > 1e-9
-    return _clip(list(U[keep] / vals[keep, None]))
+    return list(U[keep] / vals[keep, None])
 
 
 def polygon_chain(V, reach=3 * VIEW):
@@ -55,9 +90,8 @@ def render(path, curves=(), points=(), unit_circle=True, labels=()):
         ts = np.linspace(0, np.pi / 2, 100)
         parts.append(_polyline(np.stack([np.cos(ts), np.sin(ts)], axis=1), "#bbb", 1.0, "4 3"))
     for pts, color, dash in curves:
-        pts = _clip(list(pts))
-        if len(pts) >= 2:
-            parts.append(_polyline(pts, color, 2.0, dash))
+        for piece in _clip(list(pts)):
+            parts.append(_polyline(piece, color, 2.0, dash))
     for p, color in points:
         parts.append(f'<circle cx="{_map(p).split(",")[0]}" cy="{_map(p).split(",")[1]}" '
                      f'r="4" fill="{color}"/>')

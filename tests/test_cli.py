@@ -215,3 +215,23 @@ def test_env_seed_default(files, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["seed"] == 123
     assert out["estimate"] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_autopolar_svg_clips_segments_to_the_box(files):
+    # k = 2, seed 3 has the vertex (0, 11.19) far above the box [0, 3.6]^2;
+    # its segment is clipped at the top edge instead of being dropped
+    tmp, _ = files
+    out, svg = tmp / "p2.json", tmp / "p2.svg"
+    assert main(["autopolar", "--k", "2", "--seed", "3", "--output", str(out),
+                 "--svg", str(svg), "--quiet"]) == 0
+    V = np.array(json.loads(out.read_text())["vertices"])
+    assert V[0][0] == 0.0 and V[0][1] > 11
+    lines = [ln for ln in svg.read_text().splitlines() if 'stroke="#1f77b4"' in ln]
+    assert len(lines) == 1
+    pts = [tuple(map(float, p.split(","))) for p in lines[0].split('"')[1].split()]
+    # the top edge y = 3.6 maps to -96 px; the clipped point lies on the
+    # segment from V[1] towards V[0]
+    x_top = V[1][0] * (V[0][1] - 3.6) / (V[0][1] - V[1][1])
+    assert pts[0] == pytest.approx((x_top / 3.0 * 480, -96.0), abs=0.01)
+    assert len(pts) == len(V) + 1          # V[1:], plus both ends on the box edge
+    assert pts[-1][0] == pytest.approx(3.6 / 3.0 * 480)

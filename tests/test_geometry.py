@@ -5,10 +5,13 @@ from antinorms import (
     ConicPolytope,
     DegenerateBodyError,
     DimensionMismatchError,
+    PLAntinorm,
     antipolar,
+    canonicalize_pl,
     prune_positive_hull,
     vertices_of,
 )
+from antinorms.geometry import _dedupe_sorted
 
 
 def test_vertices_simplex_corners():
@@ -129,3 +132,47 @@ def test_lifted_polygon_antipolar_fixed_point():
     assert np.allclose(Gs.vertices(), G.vertices(), atol=1e-10)
     lifted = np.hstack([poly.vertices, np.zeros((len(poly.vertices), 1))])
     assert np.allclose(G.vertices(), lifted[np.lexsort(lifted.T[::-1])], atol=1e-10)
+
+
+# three extreme rows whose middle one lies 7.0e-7 from the chord of its
+# neighbours; the cross product of the three is only 2.4e-9
+CLOSE_ROWS = np.array([
+    [1.2461671148197715, 0.8024605914469395],
+    [1.2469394314314466, 0.8019635716002919],
+    [1.2490404964125301, 0.8006145540294177],
+])
+
+
+def test_canonicalize_keeps_close_extreme_rows():
+    assert canonicalize_pl(PLAntinorm(CLOSE_ROWS)).functionals.tolist() == CLOSE_ROWS.tolist()
+
+
+def test_prune_keeps_close_extreme_points():
+    # the middle point lies 2.1e-7 from the chord, far above the default tol
+    pts = np.array([1.0, 1.0]) + 0.3 * (CLOSE_ROWS - CLOSE_ROWS[1])
+    assert len(prune_positive_hull(pts)) == 3
+
+
+def test_vertices_2d_are_neighbour_meeting_points():
+    G = ConicPolytope.from_halfspaces([[2.0, 0.5], [0.5, 2.0], [1.25, 1.25], [3.0, 3.0]])
+    # (1.25, 1.25) is the midpoint of the chord of the others, (3, 3) is dominated
+    assert vertices_of(G).tolist() == [[0.0, 2.0], [0.4, 0.4], [2.0, 0.0]]
+
+
+def _dedupe_reference(points, tol):
+    pts = points[np.lexsort(points.T[::-1])]
+    keep = [pts[0]]
+    for row in pts[1:]:
+        if all(np.max(np.abs(row - k)) > tol * (1.0 + np.max(np.abs(row))) for k in keep):
+            keep.append(row)
+    return np.array(keep)
+
+
+def test_dedupe_sorted_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        X = rng.uniform(0.0, 3.0, size=(int(rng.integers(1, 120)), int(rng.integers(2, 5))))
+        X[rng.random(X.shape) < 0.3] = 0.0                 # ties in the first coordinate
+        near = X[rng.integers(0, len(X), size=len(X) // 2)]
+        X = np.vstack([X, near + rng.normal(0.0, 1e-9, near.shape), near])
+        assert _dedupe_sorted(X, 1e-9).tobytes() == _dedupe_reference(X, 1e-9).tobytes()

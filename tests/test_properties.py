@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from antinorms import ProductAntinorm, contact_point
+from antinorms import (
+    PLAntinorm,
+    ProductAntinorm,
+    canonicalize_pl,
+    contact_point,
+    dual_pl,
+    exprs,
+    geometry,
+    prune_positive_hull,
+)
 from antinorms.duality import _dual2_batch
 
 weights = st.floats(min_value=0.05, max_value=0.95)
@@ -24,3 +34,84 @@ def test_contact_point_of_selfdual_product(w):
     a = contact_point(f)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-9)
     assert f.value(a) == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def rows_2d(draw):
+    """2-D functionals: points on xy = c spaced down to 1e-3, plus rows that
+    are dominated by one of them, duplicates and rows on the axes."""
+    c = draw(st.floats(min_value=0.5, max_value=4.0))
+    x0 = draw(st.floats(min_value=0.25, max_value=2.0))
+    gaps = draw(st.lists(st.floats(min_value=-3.0, max_value=-0.3).map(lambda e: 10.0 ** e),
+                         max_size=8))
+    x = x0 + np.cumsum([0.0, *gaps])
+    rows = [np.array([xi, c / xi]) for xi in x]
+    base = st.integers(min_value=0, max_value=len(rows) - 1)
+    shift = st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                      st.floats(min_value=0.01, max_value=1.0)).map(
+        lambda t: np.array(t) if t[0] < 0.5 else np.array(t[::-1]))
+    rows += [rows[i] + s for i, s in draw(st.lists(st.tuples(base, shift), max_size=3))]
+    rows += [rows[i] for i in draw(st.lists(base, max_size=2))]
+    axis = st.tuples(st.booleans(), st.floats(min_value=0.1, max_value=10.0))
+    rows += [np.array([v, 0.0] if on_x else [0.0, v]) for on_x, v in
+             draw(st.lists(axis, max_size=2))]
+    return np.array(rows)
+
+
+def _redundancy_distance(b, others):
+    """min over c in co(others) of max_k (c - b)_k; b is redundant iff it is <= 0.
+
+    An optimal c is a convex combination of at most two rows, and along a
+    chord the objective is the maximum of two linear functions, so checking
+    both ends and the crossing point of every chord is exact.
+    """
+    a, p = others[:, None, :], others[None, :, :]
+    u, v = a - b, p - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(v[..., 0] != v[..., 1], (u[..., 1] - u[..., 0]) / (v[..., 0] - v[..., 1]), 0.0)
+    best = np.inf
+    for lam in (0.0, 1.0, np.clip(cross, 0.0, 1.0)):
+        lam = np.asarray(lam)[..., None] if np.ndim(lam) else lam
+        best = min(best, float(np.min(np.max(u + lam * v, axis=-1))))
+    return best
+
+
+@settings(max_examples=60)
+@given(A=rows_2d(), seed=seeds)
+def test_dual_pl_2d_matches_linprog(A, seed):
+    g = dual_pl(PLAntinorm(A))
+    P = np.random.default_rng(seed).lognormal(0.0, 1.0, size=(6, 2))
+    for p, v in zip(P, g.value(P)):
+        lp = linprog(p, A_ub=-A, b_ub=-np.ones(len(A)), bounds=[(0, None)] * 2, method="highs")
+        assert v == pytest.approx(lp.fun, rel=1e-9)
+
+
+@settings(max_examples=100)
+@given(A=rows_2d())
+def test_canonicalize_pl_2d_keeps_extreme_drops_dominated(A):
+    U = np.unique(A, axis=0)
+    kept = {tuple(r) for r in canonicalize_pl(PLAntinorm(A)).functionals.tolist()}
+    for i, b in enumerate(U):
+        others = np.delete(U, i, axis=0)
+        if len(others) and _redundancy_distance(b, others) > 1e-7:
+            assert tuple(b) in kept
+        if np.any(np.all(others <= b, axis=1)):
+            assert tuple(b) not in kept
+
+
+def test_2d_pl_path_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(exprs, "linprog", no_lp)
+    monkeypatch.setattr(geometry, "linprog", no_lp)
+    A = np.array([[1.2461671148197715, 0.8024605914469395],
+                  [1.2469394314314466, 0.8019635716002919],
+                  [1.2490404964125301, 0.8006145540294177],
+                  [2.0, 1.0], [1.2469394314314466, 0.8019635716002919], [0.0, 3.0], [4.0, 0.0]])
+    canonical = canonicalize_pl(PLAntinorm(A)).functionals
+    assert len(canonical) == 5                 # (2, 1) is dominated, one copy is kept
+    assert prune_positive_hull(A).tolist() == canonical.tolist()
+    g = dual_pl(PLAntinorm(A))
+    assert len(g.functionals) == 4             # the axis rows meet no axis
+    assert np.allclose(dual_pl(g).functionals, canonical, rtol=0, atol=1e-9)
