@@ -1,11 +1,29 @@
 """Command-line interface.
 
-Subcommands: dual, autopolar, selfdual-check, extension, lsr, lyapunov,
-ct-check, trig, demo-discontinuity.  Exit codes: 0 success, 1 verification
-failure, 2 input error.  ``ANTINORMS_SEED`` supplies the default seed;
-floating output in tables uses 12 significant digits; files are written
-atomically (temp + rename) and each file-producing run records a manifest
-with input/output digests for reproducibility audits.
+Subcommands and the options each one takes, besides ``--quiet`` (no
+progress lines) and ``--manifest PATH`` (write the run manifest there),
+which all take:
+
+* ``dual --input F [--samples N] [--tol T] [--seed S] [--output O]``
+* ``autopolar --k K [--a0 X,Y] [--params L1,...] [--svg P] [--seed S] [--output O]``
+* ``selfdual-check --input F [--tol T] [--json]`` (default tolerance 1e-7)
+* ``extension --input F --point X [--witness W] [--json]``
+* ``lsr --family F [--max-len L] [--iters N] [--json] [--output O]``
+* ``lyapunov --family F [--steps N] [--trials N] [--antinorm G] [--samples N]
+  [--force] [--seed S] [--json]``
+* ``ct-check --family F --antinorm G [--s S] [--samples N] [--seed S] [--json]``
+* ``trig --antinorm F --theta-range A:B:N [--mode sector|literal] [--svg P] [--output O]``
+* ``demo-discontinuity [--eps E1,...] [--seed S] [--json]``
+
+``dual`` and ``autopolar`` always print JSON and ``trig`` CSV; the others
+print a ``key  value`` table, or JSON with ``--json``, under the same keys.
+Exit codes: 0 success, 1 verification failure, 2 input error; an input
+file that is missing, unparsable, fails its JSON schema or is rejected by
+the constructor is an input error.  ``ANTINORMS_SEED`` supplies the default
+seed; floats in tables and CSV have 12 significant digits.  Every file,
+SVGs included, is written atomically (temp + rename), and each
+file-producing run records a manifest with the argv and the input/output
+digests for reproducibility audits.
 """
 
 from __future__ import annotations
@@ -23,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
+from ._report import fmt, table
 from ._search import logit_points
 from .duality import dual_numeric, dual_pl, duality_discontinuity_demo, young_check
 from .dynamics import (
@@ -37,7 +56,7 @@ from .dynamics import (
     perron_certificate,
 )
 from .errors import AntinormError
-from .exprs import as_pl, catalog, continuous_extension_eval
+from .exprs import as_pl, continuous_extension_eval
 from .geometry import ConicPolytope, antipolar
 from .selfdual import (
     AutopolarSeed,
@@ -56,8 +75,6 @@ from .serialize import (
 from .svgplot import antisphere_points, polygon_chain, render
 from .trig import TrigContext, identity_check
 
-_g = lambda v: f"{v:.12g}"  # noqa: E731  (12 significant digits everywhere)
-
 
 # ---------------------------------------------------------------------------
 # manifest and IO helpers
@@ -73,33 +90,19 @@ class RunManifest:
     wall_time_s: float = 0.0
 
 
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def _write_atomic(path, text):
+    """Write ``text`` to ``path`` by temp + rename; return its sha256."""
+    data = text.encode()
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise SystemExit2(f"input file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise SystemExit2(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    return hashlib.sha256(data).hexdigest()
 
 
 class SystemExit2(Exception):
@@ -110,24 +113,6 @@ class VerificationFailure(Exception):
     """Verification failure; mapped to exit code 1."""
 
 
-def _load_expr(path):
-    d = _load_json(path)
-    validate(d, "expr")
-    try:
-        return expr_from_dict(d)
-    except (KeyError, ValueError, TypeError) as e:
-        raise SystemExit2(f"{path}: bad antinorm description: {e}")
-
-
-def _load_family(path):
-    d = _load_json(path)
-    validate(d, "family")
-    try:
-        return family_from_dict(d)
-    except (ValueError, TypeError) as e:
-        raise SystemExit2(f"{path}: bad matrix family: {e}")
-
-
 def _parse_vec(text):
     try:
         return [float(t) for t in text.split(",")]
@@ -136,49 +121,59 @@ def _parse_vec(text):
 
 
 class Runner:
-    """Collects inputs/outputs for the manifest and handles verbosity."""
+    """The one way in (``read``) and out (``emit``, ``output``, ``write``) of a
+    command; collects input and output digests for the manifest."""
 
-    def __init__(self, args):
+    def __init__(self, args, argv):
         self.args = args
         self.t0 = time.monotonic()
-        self.manifest = RunManifest(command=sys.argv[1:] or [args.cmd],
-                                    seed=getattr(args, "seed", None),
+        self.manifest = RunManifest(command=list(argv), seed=getattr(args, "seed", None),
                                     version=__version__)
 
-    def read_expr(self, path):
-        f = _load_expr(path)
-        self.manifest.inputs[path] = _digest(path)
-        return f
-
-    def read_family(self, path):
-        fam = _load_family(path)
-        self.manifest.inputs[path] = _digest(path)
-        return fam
+    def read(self, path, schema, build):
+        """``build`` of the JSON in ``path`` after checking it against ``schema``;
+        every fault in the file is an input error."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise SystemExit2(f"input file not found: {path}")
+        try:
+            obj = build(validate(json.loads(data), schema))
+        except json.JSONDecodeError as e:
+            raise SystemExit2(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+        except (KeyError, ValueError, TypeError) as e:
+            raise SystemExit2(f"{path}: {e}")
+        self.manifest.inputs[path] = hashlib.sha256(data).hexdigest()
+        return obj
 
     def write(self, path, text):
-        _write_atomic(path, text)
-        self.manifest.outputs[path] = _digest(path)
+        self.manifest.outputs[path] = _write_atomic(path, text)
         self.say(f"wrote {path}")
+
+    def output(self, text):
+        """Write ``text`` to ``--output``, or print it ending in one newline."""
+        if self.args.output:
+            self.write(self.args.output, text)
+        else:
+            print(text.rstrip("\n"))
 
     def say(self, msg):
         if not self.args.quiet:
             print(msg)
 
-    def emit(self, obj, table_text):
-        if self.args.json:
-            print(json.dumps(obj, indent=2))
-        else:
-            print(table_text)
+    def emit(self, d):
+        """Print the result dict ``d`` as JSON with ``--json``, else as a table."""
+        print(json.dumps(d, indent=2) if self.args.json else table(d))
 
     def finish(self):
         self.manifest.wall_time_s = round(time.monotonic() - self.t0, 6)
-        target = getattr(self.args, "manifest", None)
+        target = self.args.manifest
         if target is None and self.manifest.outputs:
             target = next(iter(self.manifest.outputs)) + ".manifest.json"
         if target:
             _write_atomic(target, json.dumps(asdict(self.manifest), indent=2))
-            if not self.args.quiet:
-                print(f"manifest: {target}")
+            self.say(f"manifest: {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +182,25 @@ class Runner:
 
 def cmd_dual(run):
     args = run.args
-    f = run.read_expr(args.input)
+    f = run.read(args.input, "expr", expr_from_dict)
     pl = as_pl(f)
     g = dual_pl(pl) if pl is not None and pl.dim <= 4 else None
-    report = young_check(f, samples=2000, seed=args.seed or 0, dual=g)
+    report = young_check(f, samples=2000, seed=args.seed, dual=g)
     if g is not None:
         payload = expr_to_dict(g)
     else:
         if f.dim == 2:
             pts = logit_points(np.linspace(-10, 10, args.samples))
         else:
-            rng = np.random.default_rng(args.seed or 0)
+            rng = np.random.default_rng(args.seed)
             pts = rng.dirichlet(np.ones(f.dim), size=args.samples)
         vals = [dual_numeric(f, p, tol=args.tol) for p in pts]
         payload = {"type": "sampled_dual", "dim": f.dim,
                    "points": pts.tolist(), "values": vals}
-    out = {"dual": payload, "report": report.to_dict()}
-    if args.output:
-        run.write(args.output, json.dumps(out, indent=2))
-    else:
-        print(json.dumps(out, indent=2))
+    run.output(json.dumps({"dual": payload, "report": report.to_dict()}, indent=2))
     if report.max_young_violation > max(args.tol, 1e-8):
         raise VerificationFailure(
-            f"Young violation {_g(report.max_young_violation)} exceeds tolerance")
+            f"Young violation {fmt(report.max_young_violation)} exceeds tolerance")
 
 
 def cmd_autopolar(run):
@@ -222,56 +213,46 @@ def cmd_autopolar(run):
         params = tuple(_parse_vec(args.params)) if args.params else ()
         seed = AutopolarSeed(args.k, angle, params)
     else:
-        rng = np.random.default_rng(args.seed or 0)
+        rng = np.random.default_rng(args.seed)
         seed = random_autopolar_seed(args.k, rng)
     try:
         poly = construct2(seed)
     except AntinormError as e:
         raise VerificationFailure(str(e))
     a = contact_point(poly.antinorm())
-    run.say(f"contact point: ({_g(a[0])}, {_g(a[1])}), |a| = {_g(np.linalg.norm(a))}")
+    run.say(f"contact point: ({fmt(a[0])}, {fmt(a[1])}), |a| = {fmt(np.linalg.norm(a))}")
     out = polygon_to_dict(poly)
     out["contact"] = a.tolist()
     out["a0_angle"] = seed.a0_angle
     out["step_params"] = list(seed.step_params)
-    if args.output:
-        run.write(args.output, json.dumps(out, indent=2))
-    else:
-        print(json.dumps(out, indent=2))
+    run.output(json.dumps(out, indent=2))
     if args.svg:
         dual_chain = polygon_chain(antipolar(poly.to_polytope()).vertices())
-        render(args.svg,
-               curves=[(polygon_chain(poly.vertices), "#1f77b4", None),
-                       (dual_chain, "#d62728", "6 4")],
-               points=[(a, "#2ca02c")])
-        run.manifest.outputs[args.svg] = _digest(args.svg)
-        run.say(f"wrote {args.svg}")
+        run.write(args.svg, render(curves=[(polygon_chain(poly.vertices), "#1f77b4", None),
+                                           (dual_chain, "#d62728", "6 4")],
+                                   points=[(a, "#2ca02c")]))
 
 
 def cmd_selfdual_check(run):
     args = run.args
-    f = run.read_expr(args.input)
+    f = run.read(args.input, "expr", expr_from_dict)
     ok, dev = is_selfdual(f, tol=args.tol)
-    run.emit({"selfdual": bool(ok), "max_deviation": dev, "tol": args.tol},
-             f"selfdual      {ok}\nmax deviation {_g(dev)}\ntolerance     {_g(args.tol)}")
+    run.emit({"selfdual": bool(ok), "max_deviation": dev, "tol": args.tol})
     if not ok:
-        raise VerificationFailure(f"not self-dual: deviation {_g(dev)}")
+        raise VerificationFailure(f"not self-dual: deviation {fmt(dev)}")
 
 
 def cmd_extension(run):
     args = run.args
-    f = run.read_expr(args.input)
+    f = run.read(args.input, "expr", expr_from_dict)
     x = _parse_vec(args.point)
     w = _parse_vec(args.witness) if args.witness else [1.0] * f.dim
-    fx = f.value(x)
-    Fx = continuous_extension_eval(f, x, w)
-    run.emit({"f": fx, "extension": Fx},
-             f"f(x)  = {_g(fx)}\nF(x)  = {_g(Fx)}")
+    run.emit({"f": f.value(x), "extension": continuous_extension_eval(f, x, w)})
 
 
 def cmd_lsr(run):
     args = run.args
-    fam = run.read_family(args.family)
+    fam = run.read(args.family, "family", family_from_dict)
     upper, word = lsr_upper(fam, max_len=args.max_len)
     P0 = ConicPolytope.from_halfspaces([np.ones(fam.dim)])
     res = invariant_body_iterate(fam, P0, iters=args.iters)
@@ -280,54 +261,43 @@ def cmd_lsr(run):
     else:
         cert = res.antinorm
     lower = lsr_lower_certificate(fam, cert)
-    report = LSRBoundReport(lower=lower, upper=upper, certificate=as_pl(cert),
-                            witness_product=word, iterations=res.iterations,
-                            estimate_low=res.gamma_low, estimate_high=res.gamma_high)
-    run.emit(report.to_dict(), report.table())
+    d = LSRBoundReport(lower=lower, upper=upper, witness_product=word,
+                       iterations=res.iterations, estimate_low=res.gamma_low,
+                       estimate_high=res.gamma_high,
+                       certificate_functionals=cert.functionals).to_dict()
+    run.emit(d)
     if args.output:
-        run.write(args.output, json.dumps(report.to_dict(), indent=2))
+        run.write(args.output, json.dumps(d, indent=2))
     if lower > upper + 1e-9:
         raise VerificationFailure("lower bound exceeded upper bound")
 
 
 def cmd_lyapunov(run):
     args = run.args
-    fam = run.read_family(args.family)
-    mc = lyapunov_exponent_mc(fam, steps=args.steps, trials=args.trials,
-                              seed=args.seed or 0, force=args.force)
-    obj = {"estimate": mc.estimate, "stderr": mc.stderr,
-           "steps": mc.steps, "trials": mc.trials, "seed": mc.seed}
-    text = (f"lyapunov exponent  {_g(mc.estimate)}\n"
-            f"stderr             {_g(mc.stderr)}\n"
-            f"steps x trials     {mc.steps} x {mc.trials}")
+    fam = run.read(args.family, "family", family_from_dict)
+    d = lyapunov_exponent_mc(fam, steps=args.steps, trials=args.trials,
+                             seed=args.seed, force=args.force).to_dict()
     if args.antinorm:
-        f = run.read_expr(args.antinorm)
-        rep = lyapunov_antinorm_check(fam, f, samples=args.samples, seed=args.seed or 0)
-        obj["antinorm_check"] = {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio,
-                                 "verdict": rep.verdict}
-        text += (f"\nantinorm ratios    [{_g(rep.min_ratio)}, {_g(rep.max_ratio)}]"
-                 f"\nverdict            {rep.verdict}")
-    run.emit(obj, text)
+        f = run.read(args.antinorm, "expr", expr_from_dict)
+        d["antinorm_check"] = lyapunov_antinorm_check(
+            fam, f, samples=args.samples, seed=args.seed).to_dict()
+    run.emit(d)
 
 
 def cmd_ct_check(run):
     args = run.args
-    d = _load_json(args.family)
-    run.manifest.inputs[args.family] = _digest(args.family)
-    validate(d, "family")
-    fam = MatrixFamily(d["matrices"], probabilities=d.get("probabilities"),
-                       allow_negative=True)
-    f = run.read_expr(args.antinorm)
-    rep = ct_switching_check(fam, f, s=args.s, samples=args.samples, seed=args.seed or 0)
-    run.emit({"eps": rep.eps, "eps_dual": rep.eps_dual, "s": rep.s},
-             f"eps(s)       {_g(rep.eps)}\neps_dual(s)  {_g(rep.eps_dual)}\ns            {_g(rep.s)}")
+    fam = run.read(args.family, "family", lambda d: MatrixFamily(
+        d["matrices"], probabilities=d.get("probabilities"), allow_negative=True))
+    f = run.read(args.antinorm, "expr", expr_from_dict)
+    rep = ct_switching_check(fam, f, s=args.s, samples=args.samples, seed=args.seed)
+    run.emit(rep.to_dict())
     if not rep.lyapunov:
         raise VerificationFailure("antinorm does not decrease along the sampled steps")
 
 
 def cmd_trig(run):
     args = run.args
-    f = run.read_expr(args.antinorm)
+    f = run.read(args.antinorm, "expr", expr_from_dict)
     try:
         a, b, n = args.theta_range.split(":")
         thetas = np.linspace(float(a), float(b), int(n))
@@ -352,29 +322,20 @@ def cmd_trig(run):
             if ctx_dual is not None:
                 rep = identity_check(ctx, thetas=[float(t)], ctx_dual=ctx_dual)
                 res = rep.max_residual if rep.checked else math.nan
-            rows.append(f"{_g(t)},{_g(c)},{_g(s)},{_g(res)}")
+            rows.append(f"{fmt(t)},{fmt(c)},{fmt(s)},{fmt(res)}")
         except AntinormError:
-            rows.append(f"{_g(t)},nan,nan,nan")
-    csv = "\n".join(rows)
-    if args.output:
-        run.write(args.output, csv + "\n")
-    else:
-        print(csv)
+            rows.append(f"{fmt(t)},nan,nan,nan")
+    run.output("\n".join(rows) + "\n")
     if args.svg:
-        pts = antisphere_points(f)
-        render(args.svg, curves=[(pts, "#1f77b4", None)],
-               points=[(ctx.contact, "#2ca02c")])
-        run.manifest.outputs[args.svg] = _digest(args.svg)
+        run.write(args.svg, render(curves=[(antisphere_points(f), "#1f77b4", None)],
+                                   points=[(ctx.contact, "#2ca02c")]))
 
 
 def cmd_demo_discontinuity(run):
     args = run.args
     eps = _parse_vec(args.eps)
-    tab = duality_discontinuity_demo(eps, seed=run.args.seed or 0)
-    run.emit({"eps": list(tab.eps_values), "dual_at_e1": list(tab.dual_at_e1),
-              "limit_dual_at_e1": tab.limit_dual_at_e1,
-              "max_bound_excess": tab.max_bound_excess},
-             tab.table())
+    tab = duality_discontinuity_demo(eps, seed=args.seed)
+    run.emit(tab.to_dict())
     if max(tab.dual_at_e1) > 1e-6 or abs(tab.limit_dual_at_e1 - 1.0) > 1e-9 \
             or tab.max_bound_excess > 1e-8:
         raise VerificationFailure("discontinuity pattern not reproduced")
@@ -390,81 +351,71 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, output=False):
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("ANTINORMS_SEED", "0")))
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--json", action="store_true", help="emit JSON instead of tables")
+    def command(name, fn, help, *shared):
+        """A subparser with --quiet, --manifest and the ``shared`` options named."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(fn=fn)
         sp.add_argument("--quiet", action="store_true")
-        sp.add_argument("--verbose", action="store_true")
         sp.add_argument("--manifest", help="write the run manifest to this path")
-        if output:
+        if "seed" in shared:
+            sp.add_argument("--seed", type=int,
+                            default=int(os.environ.get("ANTINORMS_SEED", "0")))
+        if "json" in shared:
+            sp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+        if "output" in shared:
             sp.add_argument("--output", help="output file (default: stdout)")
+        return sp
 
-    sp = sub.add_parser("dual", help="dual antinorm (exact PL or sampled)")
+    sp = command("dual", cmd_dual, "dual antinorm (exact PL or sampled)", "seed", "output")
     sp.add_argument("--input", required=True)
     sp.add_argument("--samples", type=int, default=101)
-    common(sp, output=True)
-    sp.set_defaults(fn=cmd_dual)
+    sp.add_argument("--tol", type=float, default=1e-8)
 
-    sp = sub.add_parser("autopolar", help="build and verify an autopolar polygon")
+    sp = command("autopolar", cmd_autopolar, "build and verify an autopolar polygon",
+                 "seed", "output")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--a0", help="contact vertex as x,y (unit length)")
     sp.add_argument("--params", help="comma-separated extension lengths")
     sp.add_argument("--svg")
-    common(sp, output=True)
-    sp.set_defaults(fn=cmd_autopolar)
 
-    sp = sub.add_parser("selfdual-check", help="decide f* = f")
+    sp = command("selfdual-check", cmd_selfdual_check, "decide f* = f", "json")
     sp.add_argument("--input", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_selfdual_check, tol_default=1e-7)
+    sp.add_argument("--tol", type=float, default=1e-7)
 
-    sp = sub.add_parser("extension", help="continuous boundary extension value")
+    sp = command("extension", cmd_extension, "continuous boundary extension value", "json")
     sp.add_argument("--input", required=True)
     sp.add_argument("--point", required=True)
     sp.add_argument("--witness")
-    common(sp)
-    sp.set_defaults(fn=cmd_extension)
 
-    sp = sub.add_parser("lsr", help="lower spectral radius bounds")
+    sp = command("lsr", cmd_lsr, "lower spectral radius bounds", "json", "output")
     sp.add_argument("--family", required=True)
     sp.add_argument("--max-len", type=int, default=8, dest="max_len")
     sp.add_argument("--iters", type=int, default=12)
-    common(sp, output=True)
-    sp.set_defaults(fn=cmd_lsr)
 
-    sp = sub.add_parser("lyapunov", help="Monte-Carlo Lyapunov exponent")
+    sp = command("lyapunov", cmd_lyapunov, "Monte-Carlo Lyapunov exponent", "seed", "json")
     sp.add_argument("--family", required=True)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--trials", type=int, default=32)
     sp.add_argument("--antinorm", help="also run the Lyapunov antinorm check")
     sp.add_argument("--samples", type=int, default=512)
     sp.add_argument("--force", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_lyapunov)
 
-    sp = sub.add_parser("ct-check", help="continuous-time switching check")
+    sp = command("ct-check", cmd_ct_check, "continuous-time switching check", "seed", "json")
     sp.add_argument("--family", required=True)
     sp.add_argument("--antinorm", required=True)
     sp.add_argument("--s", type=float, default=1e-3)
     sp.add_argument("--samples", type=int, default=256)
-    common(sp)
-    sp.set_defaults(fn=cmd_ct_check)
 
-    sp = sub.add_parser("trig", help="generalized cosh/sinh along an antisphere")
+    sp = command("trig", cmd_trig, "generalized cosh/sinh along an antisphere", "output")
     sp.add_argument("--antinorm", required=True)
     sp.add_argument("--theta-range", required=True, dest="theta_range",
                     help="a:b:n, n angles from a to b; a may be negative")
     sp.add_argument("--mode", choices=("sector", "literal"), default="sector")
     sp.add_argument("--svg")
-    common(sp, output=True)
-    sp.set_defaults(fn=cmd_trig)
 
-    sp = sub.add_parser("demo-discontinuity", help="discontinuity of the duality map")
+    sp = command("demo-discontinuity", cmd_demo_discontinuity,
+                 "discontinuity of the duality map", "seed", "json")
     sp.add_argument("--eps", default="0.1,0.4,0.9")
-    common(sp)
-    sp.set_defaults(fn=cmd_demo_discontinuity)
 
     return p
 
@@ -483,11 +434,9 @@ def _join_theta_range(argv):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(_join_theta_range(sys.argv[1:] if argv is None else argv))
-    if args.cmd == "selfdual-check" and args.tol == 1e-8:
-        args.tol = 1e-7
-    run = Runner(args)
+    argv = _join_theta_range(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(argv)
+    run = Runner(args, argv)
     try:
         args.fn(run)
         run.finish()
@@ -496,10 +445,7 @@ def main(argv=None):
         run.finish()
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except AntinormError as e:
+    except (SystemExit2, AntinormError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Antipolar duality of antinorms.
 
-The dual antinorm is  f*(p) = inf_{x in R^d_+, f(x) != 0} <p, x>/f(x>;
+The dual antinorm is  f*(p) = inf_{x in R^d_+, f(x) != 0} <p, x>/f(x);
 its unit antiball is the antipolar of the antiball of f.  Consequences
 implemented and checked here:
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._report import Report
 from ._search import golden_section, logit_points, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
@@ -57,31 +58,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DualReport:
+class DualReport(Report):
     """Sampled duality violations; a field is 0.0 unless its check ran."""
 
     max_young_violation: float
     max_reflexivity_gap: float
     samples: int
     seed: int
-
-    def to_dict(self):
-        return {
-            "max_young_violation": self.max_young_violation,
-            "max_reflexivity_gap": self.max_reflexivity_gap,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-    def table(self):
-        rows = [
-            ("max_young_violation", f"{self.max_young_violation:.12g}"),
-            ("max_reflexivity_gap", f"{self.max_reflexivity_gap:.12g}"),
-            ("samples", str(self.samples)),
-            ("seed", str(self.seed)),
-        ]
-        w = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k.ljust(w)}  {v}" for k, v in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +281,13 @@ def min_eps_dual_closed(eps, p, q):
 
 
 @dataclass(frozen=True)
-class DiscontinuityTable:
+class DiscontinuityTable(Report):
     """Dual values at (1, 0) along min{x,y} + eps*sqrt(xy), plus the bound check."""
 
-    eps_values: tuple
+    eps: tuple
     dual_at_e1: tuple          # f*_eps(1, 0), one per eps
     limit_dual_at_e1: float    # f*_0(1, 0) = 1 for the limit antinorm min{x,y}
     max_bound_excess: float    # max of f*_eps(p,q) - (2/eps) sqrt(pq), clipped at 0
-
-    def table(self):
-        lines = ["eps             f*_eps(1,0)"]
-        for e, v in zip(self.eps_values, self.dual_at_e1):
-            lines.append(f"{e:<15.12g} {v:.12g}")
-        lines.append(f"{'0 (limit)':<15} {self.limit_dual_at_e1:.12g}")
-        lines.append(f"max excess over (2/eps)*sqrt(pq): {self.max_bound_excess:.12g}")
-        return "\n".join(lines)
 
 
 def duality_discontinuity_demo(eps_list, bound_samples=50, seed=0):

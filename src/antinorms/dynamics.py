@@ -42,6 +42,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
+from ._report import Report
 from ._search import aitken_limit, golden_section, logit_points, simplex_grid
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
 from .exprs import PLAntinorm, as_pl
@@ -122,40 +123,16 @@ class MatrixFamily:
 
 
 @dataclass(frozen=True)
-class LSRBoundReport:
+class LSRBoundReport(Report):
     """Package of lower spectral radius bounds for one family."""
 
     lower: float
     upper: float
-    certificate: PLAntinorm | None
     witness_product: str
     iterations: int
-    estimate_low: float = math.nan
-    estimate_high: float = math.nan
-
-    def to_dict(self):
-        d = {
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness_product": self.witness_product,
-            "iterations": self.iterations,
-            "estimate_low": self.estimate_low,
-            "estimate_high": self.estimate_high,
-        }
-        if self.certificate is not None:
-            d["certificate_functionals"] = self.certificate.functionals.tolist()
-        return d
-
-    def table(self):
-        rows = [
-            ("certified lower", f"{self.lower:.12g}"),
-            ("certified upper", f"{self.upper:.12g}"),
-            ("witness product", self.witness_product),
-            ("estimate bracket", f"[{self.estimate_low:.12g}, {self.estimate_high:.12g}]"),
-            ("iterations", str(self.iterations)),
-        ]
-        w = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k.ljust(w)}  {v}" for k, v in rows)
+    estimate_low: float
+    estimate_high: float
+    certificate_functionals: np.ndarray   # rows of the PL antinorm certifying ``lower``
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +505,7 @@ def transpose_extremal_check(family, f, tol=0.02, body_tol=0.1):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LyapunovMCResult:
+class LyapunovMCResult(Report):
     estimate: float
     stderr: float
     steps: int
@@ -580,7 +557,7 @@ def lyapunov_exponent_mc(family, steps=1000, trials=32, seed=0, force=False):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LyapunovAntinormReport:
+class LyapunovAntinormReport(Report):
     min_ratio: float
     max_ratio: float
     verdict: str          # "lyapunov" | "anti_lyapunov" | "inconclusive"
@@ -626,7 +603,7 @@ def lyapunov_antinorm_check(family, f, samples=512, seed=0):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CTSwitchingReport:
+class CTSwitchingReport(Report):
     eps: float
     eps_dual: float
     s: float

@@ -158,7 +158,13 @@ SCHEMAS = {
 
 
 def validate(obj, schema_name):
+    """Return ``obj`` if it matches ``SCHEMAS[schema_name]``; raise ValueError naming
+    the first violation otherwise."""
     import jsonschema
 
-    jsonschema.validate(obj, SCHEMAS[schema_name])
+    try:
+        jsonschema.validate(obj, SCHEMAS[schema_name])
+    except jsonschema.ValidationError as e:
+        path = "/".join(map(str, e.absolute_path)) or "top level"
+        raise ValueError(f"not a valid {schema_name} ({path}): {e.message}") from None
     return obj

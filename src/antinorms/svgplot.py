@@ -77,28 +77,23 @@ def polygon_chain(V, reach=3 * VIEW):
     return [top, *V, right]
 
 
-def render(path, curves=(), points=(), unit_circle=True, labels=()):
-    """Write an SVG scene; ``curves`` are (points, color, dash) triples."""
+def render(curves=(), points=()):
+    """SVG text of a scene with the axes and the unit circle; ``curves`` are
+    (points, color, dash) triples and ``points`` (point, color) pairs."""
+    ts = np.linspace(0, np.pi / 2, 100)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
         _polyline([(0, 0), (VIEW, 0)], "#888", 1.0),
         _polyline([(0, 0), (0, VIEW)], "#888", 1.0),
+        _polyline(np.stack([np.cos(ts), np.sin(ts)], axis=1), "#bbb", 1.0, "4 3"),
     ]
-    if unit_circle:
-        ts = np.linspace(0, np.pi / 2, 100)
-        parts.append(_polyline(np.stack([np.cos(ts), np.sin(ts)], axis=1), "#bbb", 1.0, "4 3"))
     for pts, color, dash in curves:
         for piece in _clip(list(pts)):
             parts.append(_polyline(piece, color, 2.0, dash))
     for p, color in points:
-        parts.append(f'<circle cx="{_map(p).split(",")[0]}" cy="{_map(p).split(",")[1]}" '
-                     f'r="4" fill="{color}"/>')
-    for text, p in labels:
         x, y = _map(p).split(",")
-        parts.append(f'<text x="{x}" y="{y}" font-size="12" fill="#333">{text}</text>')
+        parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{color}"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
-    return path
+    return "\n".join(parts)

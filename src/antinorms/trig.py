@@ -49,6 +49,8 @@ __all__ = [
     "IdentityReport",
 ]
 
+_GL_X, _GL_W = leggauss(16)   # nodes and weights of every sector-area quadrature
+
 
 # ---------------------------------------------------------------------------
 # boundary parametrizations
@@ -154,11 +156,10 @@ class _SmoothBoundary:
     def __init__(self, f):
         self.f = f
         self.taus = np.linspace(-self.L, self.L, self.N)
-        gx, gw = leggauss(16)
         mid = 0.5 * (self.taus[1:] + self.taus[:-1])
         half = 0.5 * np.diff(self.taus)
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
-        weights = half[:, None] * gw[None, :]
+        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+        weights = half[:, None] * _GL_W[None, :]
         vals = self._integrand(nodes.ravel()).reshape(nodes.shape)
         self.cum = np.concatenate([[0.0], np.cumsum((vals * weights).sum(axis=1))])
 
@@ -172,9 +173,8 @@ class _SmoothBoundary:
     def _gl(self, a, b):
         if a == b:
             return 0.0
-        gx, gw = leggauss(16)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return float(np.sum(self._integrand(mid + half * gx) * half * gw))
+        return float(np.sum(self._integrand(mid + half * _GL_X) * half * _GL_W))
 
     def _pos_of_tau(self, tau):
         tau = float(np.clip(tau, -self.L, self.L))

@@ -235,3 +235,104 @@ def test_autopolar_svg_clips_segments_to_the_box(files):
     assert pts[0] == pytest.approx((x_top / 3.0 * 480, -96.0), abs=0.01)
     assert len(pts) == len(V) + 1          # V[1:], plus both ends on the box edge
     assert pts[-1][0] == pytest.approx(3.6 / 3.0 * 480)
+
+
+def test_schema_invalid_input_exit_2(files, capsys):
+    tmp, write = files
+    empty = write("empty.json", {})
+    fam = write("fam.json", {"dim": 2, "matrices": [[["x", 0.0], [0.0, 1.0]]]})
+    for argv in (["dual", "--input", empty], ["lsr", "--family", fam]):
+        assert main(argv + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_manifest_records_parsed_argv_and_svg_digest(files):
+    import hashlib
+
+    tmp, _ = files
+    out, svg, man = (str(tmp / n) for n in ("p1.json", "p1.svg", "m.json"))
+    argv = ["autopolar", "--k", "1", "--a0", "0.6,0.8", "--output", out, "--svg", svg,
+            "--manifest", man, "--quiet"]
+    assert main(argv) == 0
+    m = json.load(open(man))
+    assert m["command"] == argv
+    for path in (out, svg):
+        assert m["outputs"][path] == hashlib.sha256(open(path, "rb").read()).hexdigest()
+    assert not list(tmp.glob("*.tmp"))
+
+
+def test_selfdual_check_honours_explicit_tol(files, monkeypatch):
+    import antinorms.cli as cli
+
+    tmp, write = files
+    inp = write("h.json", expr_to_dict(catalog("sqrt2xy")))
+    seen = []
+
+    def spy(f, tol):
+        seen.append(tol)
+        return True, 0.0
+
+    monkeypatch.setattr(cli, "is_selfdual", spy)
+    assert main(["selfdual-check", "--input", inp, "--tol", "1e-8", "--quiet"]) == 0
+    assert main(["selfdual-check", "--input", inp, "--quiet"]) == 0
+    assert seen == [1e-8, 1e-7]
+
+
+# Every command that prints JSON (with --json, or always) or writes a file, with
+# the keys of its result; "csv" names the header of the trig CSV.
+_KEYS = {
+    "selfdual-check": {"selfdual", "max_deviation", "tol"},
+    "extension": {"f", "extension"},
+    "lsr": {"lower", "upper", "witness_product", "iterations", "estimate_low",
+            "estimate_high", "certificate_functionals"},
+    "lyapunov": {"estimate", "stderr", "steps", "trials", "seed", "antinorm_check"},
+    "ct-check": {"eps", "eps_dual", "s", "samples", "seed"},
+    "demo-discontinuity": {"eps", "dual_at_e1", "limit_dual_at_e1", "max_bound_excess"},
+    "dual": {"dual", "report"},
+    "autopolar": {"k", "vertices", "contact", "a0_angle", "step_params"},
+    "trig": {"csv"},
+}
+_NESTED = {
+    ("lyapunov", "antinorm_check"): {"min_ratio", "max_ratio", "verdict", "samples", "seed"},
+    ("dual", "report"): {"max_young_violation", "max_reflexivity_gap", "samples", "seed"},
+    ("dual", "dual"): {"type", "dim", "functionals"},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_KEYS))
+def test_output_keys_are_pinned(cmd, files, capsys):
+    tmp, write = files
+    h = write("h.json", expr_to_dict(catalog("sqrt2xy")))
+    s = write("s.json", expr_to_dict(catalog("sum", dim=2)))
+    fam = write("fam.json", family_to_dict(MatrixFamily(
+        [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])], probabilities=[0.5, 0.5])))
+    out = str(tmp / "out")
+    argv = {
+        "selfdual-check": ["--input", h],
+        "extension": ["--input", write("d.json", expr_to_dict(catalog("rootsum3_drop"))),
+                      "--point", "1,1,0"],
+        "lsr": ["--family", fam, "--max-len", "4", "--iters", "4"],
+        "lyapunov": ["--family", fam, "--steps", "20", "--trials", "4", "--antinorm", s],
+        "ct-check": ["--family", write("ct.json", {"dim": 2, "matrices": [[[-1.0, 0.0], [0.0, -2.0]]]}),
+                     "--antinorm", h],
+        "demo-discontinuity": ["--eps", "0.5"],
+        "dual": ["--input", s],
+        "autopolar": ["--k", "1", "--a0", "0.6,0.8"],
+        "trig": ["--antinorm", h, "--theta-range", "-1:1:3"],
+    }[cmd]
+    writes = cmd in ("dual", "autopolar", "lsr", "trig")
+    assert main([cmd, *argv, "--quiet"] + (["--output", out] if writes else ["--json"])) == 0
+    if cmd == "trig":
+        assert open(out).readline() == "theta,cosh,sinh,identity_residual\n"
+        return
+    d = json.load(open(out)) if writes else json.loads(capsys.readouterr().out)
+    assert set(d) == _KEYS[cmd]
+    for (c, key), keys in _NESTED.items():
+        if c == cmd:
+            assert set(d[key]) == keys
+    if cmd not in ("dual", "autopolar"):       # these two always print JSON
+        capsys.readouterr()
+        assert main([cmd, *argv, "--quiet"]) == 0
+        keys = {line.split()[0].split(".")[0] for line in capsys.readouterr().out.splitlines()}
+        assert keys == _KEYS[cmd]
