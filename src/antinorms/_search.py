@@ -3,8 +3,10 @@
 Each primitive has its only copy here; the module imports nothing from the
 package.  Callers:
 
-* ``golden_section``: ``duality._dual2_batch``, ``exprs.ConeSplitAntinorm``,
-  ``selfdual.closest_antisphere_point``, ``dynamics.lsr_lower_certificate``.
+* ``bracket_root``: ``duality._dual2_batch`` (tangency p || grad f),
+  ``exprs.ConeSplitAntinorm`` (tangency of x to the K1 antisphere),
+  ``selfdual.closest_antisphere_point`` (stationary radius) and
+  ``dynamics.lsr_lower_certificate`` (stationary ratio).
 * ``logit_points``: ``duality._dual2_batch``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
@@ -16,36 +18,71 @@ package.  Callers:
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = np.finfo(float).eps
 
 
-def golden_section(fn, lo, hi, iters):
-    """Minimize ``fn`` on every bracket [lo_i, hi_i] at once.
+def bracket_root(fn, lo, hi, flo, fhi, iters, ftol=0.0):
+    """Close every bracket [lo_i, hi_i] onto a sign change of a condition.
 
-    ``fn`` maps an array of abscissae, one per bracket, to the objective
-    values there.  Each step keeps the interior point with the smaller
-    value and evaluates ``fn`` once.  Returns the final brackets and the
-    smallest value found in each.
+    ``fn(t, rows)`` returns the condition at abscissae ``t`` for the bracket
+    indices ``rows``; ``flo`` and ``fhi`` are its values at the ends and
+    must have opposite signs.  Each step is Chandrupatla's choice between
+    inverse quadratic interpolation and bisection (Chandrupatla 1997, a
+    Brent-Dekker variant), kept a tolerance away from the bracket ends and
+    projected onto the ITP interval around the midpoint (Oliveira &
+    Takahashi 2020), so no row takes more than four steps beyond bisection
+    to close its bracket to a few ulps; at a jump the brackets close onto
+    the discontinuity.  A row stops at that tolerance, at a value within
+    ``ftol`` of zero (the caller's rounding floor of the condition, scalar
+    or per row), at a non-finite value or after ``iters`` steps, and only
+    the rows still active are evaluated.  Returns the final brackets
+    (a, b), a <= b; a row stopped at a zero has a == b.
     """
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = fn(c)
-    fd = fn(d)
-    for _ in range(iters):
-        left = fc < fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        c_new = np.where(left, hi - _INVPHI * (hi - lo), d)
-        d_new = np.where(left, c, lo + _INVPHI * (hi - lo))
-        vals = fn(np.where(left, c_new, d_new))
-        fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
-        c, d = c_new, d_new
-    return lo, hi, np.minimum(fc, fd)
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    tol = 2.0 * _EPS * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    ftol = np.broadcast_to(np.asarray(ftol, dtype=float), a.shape)
+    budget = np.ceil(np.log2(np.maximum((b - a) / (2.0 * tol), 1.0))) + 4.0   # ITP slack n0 = 4
+    # per active row: the newest point x1, the bracket's other end x2, the
+    # point x3 dropped last, and the fraction t of the next step from x1 to x2
+    act = np.nonzero(b - a > 2.0 * tol)[0]
+    x1, x2, x3 = a[act], b[act], b[act]
+    f1 = np.asarray(flo, dtype=float)[act]
+    f2 = f3 = np.asarray(fhi, dtype=float)[act]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f1 / (f1 - f2)                   # a secant step first
+    for step in range(iters):
+        if act.size == 0:
+            break
+        width = np.abs(x2 - x1)
+        tl = tol[act] / width
+        t = np.clip(np.nan_to_num(t, nan=0.5), tl, 1.0 - tl)
+        mid = 0.5 * (x1 + x2)
+        r = tol[act] * np.exp2(budget[act] - step) - 0.5 * width
+        x = np.clip(x1 + t * (x2 - x1), mid - r, mid + r)
+        y = fn(x, act)
+        same = y * f1 > 0
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, y
+        zero = np.abs(y) <= ftol[act]
+        ok = np.isfinite(y)
+        a[act[ok]] = np.where(zero, x1, np.minimum(x1, x2))[ok]
+        b[act[ok]] = np.where(zero, x1, np.maximum(x1, x2))[ok]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                   + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
+        keep = ok & ~zero & (np.abs(x2 - x1) > 2.0 * tol[act])
+        act, t = act[keep], t[keep]
+        x1, x2, x3, f1, f2, f3 = x1[keep], x2[keep], x3[keep], f1[keep], f2[keep], f3[keep]
+    return a, b
 
 
 def logit_points(t):

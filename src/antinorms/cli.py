@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from ._report import fmt, table
 from ._search import logit_points
-from .duality import dual_numeric, dual_pl, duality_discontinuity_demo, young_check
+from .duality import _dual2_certified, dual_numeric, dual_pl, duality_discontinuity_demo, young_check
 from .dynamics import (
     LSRBoundReport,
     MatrixFamily,
@@ -191,10 +191,11 @@ def cmd_dual(run):
     else:
         if f.dim == 2:
             pts = logit_points(np.linspace(-10, 10, args.samples))
+            vals = _dual2_certified(f, pts).tolist()
         else:
             rng = np.random.default_rng(args.seed)
             pts = rng.dirichlet(np.ones(f.dim), size=args.samples)
-        vals = [dual_numeric(f, p, tol=args.tol) for p in pts]
+            vals = [dual_numeric(f, p, tol=args.tol) for p in pts]
         payload = {"type": "sampled_dual", "dim": f.dim,
                    "points": pts.tolist(), "values": vals}
     run.output(json.dumps({"dual": payload, "report": report.to_dict()}, indent=2))

@@ -20,7 +20,9 @@ implemented and checked here:
 ``dual_numeric`` minimizes the scale-invariant ratio over the unit simplex,
 restricting samples to the interior; that realizes the liminf convention
 for boundary ratios and makes the dual of a discontinuous antinorm agree
-with the dual of its continuous extension.
+with the dual of its continuous extension.  In d = 2 the minimum is the
+tangency point where p is parallel to a supergradient of f (the equality
+case of the Young-type inequality), found as a root (``_dual2_batch``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._report import Report
-from ._search import golden_section, logit_points, simplex_grid
+from ._search import bracket_root, logit_points, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 from .exprs import (
@@ -93,7 +95,8 @@ def dual_pl(f):
 # ---------------------------------------------------------------------------
 
 _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps samples interior
-_GOLDEN_ITERS = 90
+_ROOT_STEPS = 90      # step cap of the tangency root finder
+_EPS = np.finfo(float).eps
 
 
 def _ratio_2d(f, P, u):
@@ -106,14 +109,22 @@ def _ratio_2d(f, P, u):
     return r
 
 
-def _dual2_batch(f, P, n_coarse=1025, iters=_GOLDEN_ITERS):
-    """Vectorized 2-d duals: golden section on the logit of the simplex.
+def _dual2_batch(f, P, n_coarse=1025, iters=_ROOT_STEPS):
+    """Vectorized 2-d duals: a tangency root on the logit of the simplex.
 
     The ratio <p,x>/f(x) is quasiconvex on the simplex (its sublevel sets
     are sublevel sets of the convex function <p,x> - c f(x)), so a bracket
-    around the coarse-grid minimizer contains the global minimum and golden
-    section converges; the logit parametrization keeps boundary minimizers
-    (e.g. for piecewise-linear duals vanishing on an axis) resolvable.
+    around the coarse-grid minimizer contains the global minimum.  Along
+    x(u) = (s, 1 - s), s = 1/(1 + e^-u), the ratio's slope has the sign of
+    (p0 - p1) f(x) - <p, x> (g0 - g1) for a supergradient g, which by
+    Euler's <g, x> = f(x) is p0 g1 - p1 g0: the minimum is where p is
+    parallel to g.  ``bracket_root`` closes the bracket onto that sign
+    change, within at most ``iters`` steps; at a kink it closes onto the
+    jump.  Rows whose bracket is flat to rounding are settled at once, and
+    every returned value is the ratio at a point, the smaller of the grid
+    value and the value at the root.  The logit parametrization keeps
+    boundary minimizers (e.g. for piecewise-linear duals vanishing on an
+    axis) resolvable.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     u = np.linspace(-_UMAX, _UMAX, n_coarse)
@@ -121,14 +132,43 @@ def _dual2_batch(f, P, n_coarse=1025, iters=_GOLDEN_ITERS):
     fv = f._values(X)
     if np.all(fv <= 0):
         raise DegenerateBodyError("antinorm vanishes on the whole sample set")
-    with np.errstate(divide="ignore"):
-        ratios = np.where(fv > 0, 1.0, np.inf)[None, :] * (P @ X.T) / np.where(fv > 0, fv, 1.0)[None, :]
+    ratios = np.where(fv > 0, (P @ X.T) / np.where(fv > 0, fv, 1.0), np.inf)
+    rows = np.arange(P.shape[0])
     idx = np.argmin(ratios, axis=1)
-    best = ratios[np.arange(P.shape[0]), idx]
-    lo = u[np.maximum(idx - 1, 0)]
-    hi = u[np.minimum(idx + 1, n_coarse - 1)]
-    _, _, refined = golden_section(lambda v: _ratio_2d(f, P, v), lo, hi, iters)
-    return np.minimum(refined, best)
+    best = ratios[rows, idx]
+    i_lo = np.maximum(idx - 1, 0)
+    i_hi = np.minimum(idx + 1, n_coarse - 1)
+    # a convex <p,x> - c f(x) cannot dip below its value where it is flat
+    flat = np.maximum(ratios[rows, i_lo], ratios[rows, i_hi]) <= best * (1.0 + 8.0 * _EPS)
+    k = np.nonzero(~flat)[0]
+    if k.size == 0:
+        return best
+    ends = np.unique(np.concatenate([i_lo[k], i_hi[k]]))
+    G = np.zeros((n_coarse, 2))
+    Pk = P[k] / np.hypot(P[k, 0], P[k, 1])[:, None]
+
+    def sine(Pr, g):
+        """sin of the angle from p to g; its rounding floor is a few ulps."""
+        return (Pr[:, 0] * g[:, 1] - Pr[:, 1] * g[:, 0]) / np.hypot(g[:, 0], g[:, 1])
+
+    with np.errstate(divide="ignore", invalid="ignore"):   # a NaN end leaves its row as is
+        G[ends] = f._grads(X[ends])
+        h_lo, h_hi = sine(Pk, G[i_lo[k]]), sine(Pk, G[i_hi[k]])
+    live = (h_lo < 0) & (h_hi > 0)
+    k, Pk = k[live], Pk[live]
+    if k.size == 0:
+        return best
+    a, b = bracket_root(lambda t, r: sine(Pk[r], f._grads(logit_points(t))),
+                        u[i_lo[k]], u[i_hi[k]], h_lo[live], h_hi[live], iters, ftol=16 * _EPS)
+    best[k] = np.minimum(best[k], _ratio_2d(f, P[k], 0.5 * (a + b)))
+    return best
+
+
+def _dual2_certified(f, P, n_coarse=1025, iters=_ROOT_STEPS):
+    """2-d duals of ``dual_numeric(certify=True)`` at a batch of points: the
+    smaller of the solves on ``n_coarse`` and ``4 n_coarse + 1`` grid points."""
+    return np.minimum(_dual2_batch(f, P, n_coarse=n_coarse, iters=iters),
+                      _dual2_batch(f, P, n_coarse=4 * n_coarse + 1, iters=iters))
 
 
 def _dual_nd(f, p, resolution=None, n_starts=8, seed=0, maxiter=500):
@@ -164,13 +204,14 @@ def _dual_nd(f, p, resolution=None, n_starts=8, seed=0, maxiter=500):
     return best
 
 
-def dual_numeric(f, p, tol=DEFAULT.dual, n_coarse=1025, iters=_GOLDEN_ITERS, certify=True,
+def dual_numeric(f, p, tol=DEFAULT.dual, n_coarse=1025, iters=_ROOT_STEPS, certify=True,
                  resolution=None, n_starts=8, maxiter=500):
     """Numeric dual value  f*(p) = min over the unit simplex of <p,x>/f(x).
 
     The ratio is scale-invariant, so the compact simplex suffices.  Sampling
     stays in the interior (liminf convention at the boundary); d = 2 refines
-    by golden section, d >= 3 by multi-start local descent.  The result is
+    by the tangency root of ``_dual2_batch``, at most ``iters`` steps, and
+    d >= 3 by multi-start local descent.  The result is
     an estimate, not a certified bound.  With ``certify`` it is the minimum
     of this solve and a second one on a denser grid, which can only lower
     an overestimate.  Nested duals (dual-of-dual) pass smaller ``n_coarse``
@@ -182,11 +223,8 @@ def dual_numeric(f, p, tol=DEFAULT.dual, n_coarse=1025, iters=_GOLDEN_ITERS, cer
         raise ValueError("tol must be positive")
     q = as_point(p, f.dim)
     if f.dim == 2:
-        val = float(_dual2_batch(f, q[None, :], n_coarse=n_coarse, iters=iters)[0])
-        if certify:
-            dense = float(_dual2_batch(f, q[None, :], n_coarse=4 * n_coarse + 1, iters=iters)[0])
-            val = min(val, dense)
-        return val
+        solve = _dual2_certified if certify else _dual2_batch
+        return float(solve(f, q[None, :], n_coarse=n_coarse, iters=iters)[0])
     val = _dual_nd(f, q, resolution=resolution, n_starts=n_starts, maxiter=maxiter)
     if certify:
         base = resolution or {3: 64, 4: 24}.get(f.dim, 16)

@@ -43,7 +43,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
 from ._report import Report
-from ._search import aitken_limit, golden_section, logit_points, simplex_grid
+from ._search import aitken_limit, bracket_root, logit_points, simplex_grid
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
 from .exprs import PLAntinorm, as_pl
 from .geometry import ConicPolytope, positive_hull_value, prune_positive_hull
@@ -293,8 +293,9 @@ def lsr_lower_certificate(family, f):
     combination of vertices plus a nonnegative shift, and superadditivity
     with monotonicity push f(Ax) below the vertex values; the bound is
     therefore exact, not sampled.  Other antinorms fall back to sampling:
-    4097 logit points in d = 2, refined by golden section around the best
-    one, and the simplex lattice in d >= 3.  That result is an estimate,
+    4097 logit points in d = 2, refined by the root of the slope of the
+    best point's active ratio f(Ax)/f(x) next to it, and the simplex
+    lattice in d >= 3.  That result is an estimate,
     good only to the sampling density.
     """
     if family.allow_negative:
@@ -317,11 +318,25 @@ def lsr_lower_certificate(family, f):
     if d > 2:
         return float(np.min(ratio(simplex_grid(d, {3: 64, 4: 28}.get(d, 16)))))
     t = np.linspace(-16.0, 16.0, 4097)
-    ratios = ratio(logit_points(t))
+    X = logit_points(t)
+    ratios = ratio(X)
     j = int(np.argmin(ratios))
-    _, _, refined = golden_section(lambda u: ratio(logit_points(u)),
-                                   t[[max(0, j - 1)]], t[[min(len(t) - 1, j + 1)]], 60)
-    return float(min(ratios[j], refined[0]))
+    A = min(mats, key=lambda M: f.value(M @ X[j]))   # active at the best point
+    e = np.array([1.0, -1.0])
+
+    # along x(u) = (s, 1 - s) the slope of f(Ax)/f(x) has the sign of
+    # <grad f(Ax), Ae> f(x) - f(Ax) <grad f(x), e>
+    def slope(u, rows):
+        Xu = logit_points(u)
+        Y = Xu @ A.T
+        return (f._grads(Y) @ (A @ e)) * f._values(Xu) - f._values(Y) * (f._grads(Xu) @ e)
+
+    lo, hi = t[[max(0, j - 1)]], t[[min(len(t) - 1, j + 1)]]
+    s_lo, s_hi = slope(lo, None), slope(hi, None)
+    if not (s_lo[0] < 0 < s_hi[0]):
+        return float(ratios[j])
+    a, b = bracket_root(slope, lo, hi, s_lo, s_hi, 64)
+    return float(min(ratios[j], ratio(logit_points(0.5 * (a + b)))[0]))
 
 
 # ---------------------------------------------------------------------------

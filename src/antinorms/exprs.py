@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._search import aitken_limit, golden_section
+from ._search import aitken_limit, bracket_root
 from .config import DEFAULT
 from .errors import DimensionMismatchError, NegativeCoordinateError
 from .geometry import _prune_2d
@@ -111,15 +111,25 @@ class Antinorm:
     def _values(self, X):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def grad(self, x, h=1e-7):
-        """Gradient at an interior point, by central differences by default."""
-        p = as_point(x, self.dim)
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h * max(1.0, p[i])
-            g[i] = (self.value(np.maximum(p + e, 0)) - self.value(np.maximum(p - e, 0))) / (2 * e[i])
-        return g
+    def grad(self, x):
+        """A supergradient at ``x``: one row of ``_grads``."""
+        return self._grads(as_point(x, self.dim)[None, :])[0]
+
+    def _grads(self, X):
+        """Supergradients at the rows of ``X``, one row each.
+
+        Subclasses with an analytic gradient or an attaining point (Danskin)
+        override this; the default takes central differences with step
+        ``1e-7 * max(1, |x_i|)``, clipped to the orthant, so it is an
+        estimate.
+        """
+        n, d = X.shape
+        step = 1e-7 * np.maximum(1.0, np.abs(X))
+        E = np.zeros((d, n, d))
+        E[np.arange(d), :, np.arange(d)] = step.T
+        shifted = np.concatenate([X[None] + E, X[None] - E]).reshape(-1, d)
+        v = self._values(np.maximum(shifted, 0.0)).reshape(2, d, n)
+        return ((v[0] - v[1]) / (2.0 * step.T)).T
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -153,10 +163,8 @@ class PLAntinorm(Antinorm):
     def _values(self, X):
         return np.min(X @ self.functionals.T, axis=1)
 
-    def grad(self, x, h=None):
-        p = as_point(x, self.dim)
-        j = int(np.argmin(self.functionals @ p))
-        return self.functionals[j].copy()
+    def _grads(self, X):
+        return self.functionals[np.argmin(X @ self.functionals.T, axis=1)]
 
     def active_functionals(self, x, tol=1e-9):
         """Rows attaining the minimum at ``x`` within ``tol`` (relative)."""
@@ -221,13 +229,11 @@ class ProductAntinorm(Antinorm):
             out[~zero] = self.scale * np.exp(logs)
         return out
 
-    def grad(self, x, h=None):
-        p = as_point(x, self.dim)
-        f = self.value(p)
-        g = np.zeros(self.dim)
-        pos = (self.weights > 0) & (p > 0)
-        g[pos] = f * self.weights[pos] / p[pos]
-        return g
+    def _grads(self, X):
+        pos = (self.weights > 0) & (X > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            G = self._values(X)[:, None] * self.weights / X
+        return np.where(pos, G, 0.0)
 
     def __repr__(self):
         return f"ProductAntinorm(weights={self.weights.tolist()})"
@@ -265,47 +271,39 @@ def _v_rootsum3_drop(X, params):
 
 def _v_circle_arc(X, params):
     # antisphere is the near arc of the circle |x - (R, R)| = R; the value
-    # solves |x/f - c| = R on the branch closest to the origin.
-    R = params["radius"]
-    c = np.array([R, R])
-    xc = X @ c
-    disc = np.maximum(xc * xc - R * R * np.einsum("ij,ij->i", X, X), 0.0)
-    return (xc + np.sqrt(disc)) / (R * R)
+    # solves |x/f - c| = R on the branch closest to the origin.  Its
+    # discriminant <c, x>^2 - R^2 |x|^2 is 2 R^2 x1 x2, so the root is
+    # (x1 + x2 + sqrt(2 x1 x2)) / R, written here without that cancellation.
+    return (X.sum(axis=1) + np.sqrt(2.0 * X[:, 0] * X[:, 1])) / params["radius"]
 
 
-def _g_sum(p, params):
-    return np.ones_like(p)
+def _g_sum(X, params):
+    return np.ones_like(X)
 
 
-def _g_min(p, params):
-    g = np.zeros_like(p)
-    g[int(np.argmin(p))] = 1.0
-    return g
+def _g_min(X, params):
+    G = np.zeros_like(X)
+    G[np.arange(len(X)), np.argmin(X, axis=1)] = 1.0
+    return G
 
 
-def _g_sqrt2xy(p, params):
-    f = math.sqrt(2.0 * p[0] * p[1])
-    return np.array([p[1], p[0]]) / f
+def _g_sqrt2xy(X, params):
+    return X[:, ::-1] / _v_sqrt2xy(X, params)[:, None]
 
 
-def _g_min_eps(p, params):
-    eps = params["eps"]
-    g = _g_min(p, params)
-    s = math.sqrt(p[0] * p[1])
-    return g + eps * np.array([p[1], p[0]]) / (2.0 * s)
+def _g_min_eps(X, params):
+    s = np.sqrt(X[:, 0] * X[:, 1])
+    return _g_min(X, params) + params["eps"] * X[:, ::-1] / (2.0 * s[:, None])
 
 
-def _g_rootsum3(p, params):
-    s = np.sqrt(p).sum()
-    return s / np.sqrt(p)
+def _g_rootsum3(X, params):
+    r = np.sqrt(X)
+    return r.sum(axis=1, keepdims=True) / r
 
 
-def _g_circle_arc(p, params):
-    R = params["radius"]
-    c = np.array([R, R])
-    xc = float(p @ c)
-    disc = math.sqrt(max(xc * xc - R * R * float(p @ p), 1e-300))
-    return (c + (xc * c - R * R * p) / disc) / (R * R)
+def _g_circle_arc(X, params):
+    r = np.maximum(np.sqrt(2.0 * X[:, 0] * X[:, 1]), 1e-300)
+    return (1.0 + X[:, ::-1] / r[:, None]) / params["radius"]
 
 
 _CATALOG = {
@@ -347,10 +345,10 @@ class BuiltinAntinorm(Antinorm):
     def _values(self, X):
         return self._vfn(X, self.params)
 
-    def grad(self, x, h=1e-7):
+    def _grads(self, X):
         if self._gfn is None:
-            return super().grad(x, h)
-        return self._gfn(as_point(x, self.dim), self.params)
+            return super()._grads(X)
+        return self._gfn(X, self.params)
 
     def __repr__(self):
         extra = f", {self.params}" if self.params else ""
@@ -470,15 +468,22 @@ class NumericDualAntinorm(Antinorm):
 # cone-split antinorm (piece + restricted dual of the piece)
 # ---------------------------------------------------------------------------
 
+def _unit_rows(G):
+    return G / np.maximum(np.hypot(G[:, 0], G[:, 1]), 1e-300)[:, None]
+
+
 class ConeSplitAntinorm(Antinorm):
     """2-D antinorm equal to ``f1`` on one subcone of R^2_+ and to the
     restricted dual of ``f1`` on the complementary subcone.
 
     The ray through ``apex`` (a unit vector) splits the orthant into K1 and
-    K2.  On K2 the value is  min over the K1 antisphere of <s, x>, realized
-    by a dense angular table of antisphere points plus golden-section
-    refinement, so each evaluation is accurate to the smoothness of f1
-    rather than to the table spacing.
+    K2.  On K2 the value is  min over the K1 antisphere of <s, x>, attained
+    where x is parallel to grad f1(s) (clipped to the arc's ends).  A table
+    of ``grid_n`` arc points keeps the angles of grad f1, which fall along
+    the arc; a binary search over it finds the cell holding that tangency
+    and ``bracket_root`` closes the cell onto it, so each value is accurate
+    to the smoothness of f1 rather than to the table spacing.  The
+    attaining arc point is the supergradient on K2 (Danskin).
     """
 
     def __init__(self, f1, apex, side="upper", grid_n=20000):
@@ -500,41 +505,59 @@ class ConeSplitAntinorm(Antinorm):
             lo, hi = phi_a, math.pi / 2
         else:
             lo, hi = 0.0, phi_a
-        # open the interval slightly: the support minimum never sits at a
-        # direction where f1 vanishes (those antisphere points escape to
-        # infinity), so clipping the axis endpoint is harmless
-        pad = (hi - lo) * 1e-9
-        self._phis = np.linspace(lo + pad, hi - pad, self.grid_n)
-        U = np.stack([np.cos(self._phis), np.sin(self._phis)], axis=1)
+        # open the interval slightly at an end where f1 vanishes: the
+        # support minimum never sits there (those antisphere points escape
+        # to infinity), so clipping it is harmless; an end where f1 is
+        # positive stays, as K2 points near the axis touch the arc there
+        ends = f1._values(np.array([[math.cos(lo), math.sin(lo)], [math.cos(hi), math.sin(hi)]]))
+        pad = (hi - lo) * 1e-9 * (ends <= 1e-15)
+        phis = np.linspace(lo + pad[0], hi - pad[1], self.grid_n)
+        U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
         vals = f1._values(U)
         keep = vals > 1e-15
-        self._phis = self._phis[keep]
+        self._phis = phis[keep]
         self._table = U[keep] / vals[keep, None]
+        self._normals = _unit_rows(f1._grads(U[keep]))
+        # grad f1 turns clockwise along a concave arc; the running minimum
+        # keeps the angles sorted where rounding would not
+        angles = np.arctan2(self._normals[:, 1], self._normals[:, 0])
+        self._angles = -np.minimum.accumulate(angles)
 
     def _in_k1(self, X):
         cross = self.apex[0] * X[:, 1] - self.apex[1] * X[:, 0]
         return cross >= 0 if self.side == "upper" else cross <= 0
 
-    def _sphere_point(self, phis):
-        U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        v = self.f1._values(U)
-        v = np.maximum(v, 1e-300)
-        return U / v[:, None]
+    def _support(self, X):
+        """min over the K1 arc of <s, x> per row of X, and the arc points s."""
+        n = len(self._phis)
+        j = np.searchsorted(self._angles, -np.arctan2(X[:, 1], X[:, 0]))
+        lo, hi = np.maximum(j - 1, 0), np.minimum(j, n - 1)
+        # <s', x> has the sign of n(s) x x, n the unit normal grad f1/|grad f1|;
+        # it rises through 0 at the tangency, and unlike grad f1 it stays
+        # bounded where the arc meets an axis
+        c_lo = np.einsum("ij,ij->i", self._normals[lo], X[:, ::-1] * [1.0, -1.0])
+        c_hi = np.einsum("ij,ij->i", self._normals[hi], X[:, ::-1] * [1.0, -1.0])
+        S = np.where((np.einsum("ij,ij->i", self._table[lo], X)
+                      <= np.einsum("ij,ij->i", self._table[hi], X))[:, None],
+                     self._table[lo], self._table[hi])
+        live = np.nonzero((c_lo < 0) & (c_hi > 0))[0]
+        if live.size:
+            XL = X[live]
 
-    def _support_min(self, X):
-        out = np.empty(X.shape[0])
-        chunk = 512
-        for start in range(0, X.shape[0], chunk):
-            B = X[start:start + chunk]
-            D = B @ self._table.T
-            idx = np.argmin(D, axis=1)
-            lo = self._phis[np.maximum(idx - 1, 0)]
-            hi = self._phis[np.minimum(idx + 1, len(self._phis) - 1)]
-            base = np.take_along_axis(D, idx[:, None], axis=1)[:, 0]
-            _, _, refined = golden_section(
-                lambda phi: np.einsum("ij,ij->i", self._sphere_point(phi), B), lo, hi, 60)
-            out[start:start + chunk] = np.minimum(refined, base)
-        return out
+            def tangency(phi, rows):
+                U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+                N = _unit_rows(self.f1._grads(U))
+                return N[:, 0] * XL[rows, 1] - N[:, 1] * XL[rows, 0]
+
+            a, b = bracket_root(tangency, self._phis[lo[live]], self._phis[hi[live]],
+                                c_lo[live], c_hi[live], 64,
+                                ftol=4 * np.finfo(float).eps * np.hypot(XL[:, 0], XL[:, 1]))
+            phi = 0.5 * (a + b)
+            U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+            T = U / np.maximum(self.f1._values(U), 1e-300)[:, None]
+            better = np.einsum("ij,ij->i", T, XL) < np.einsum("ij,ij->i", S[live], XL)
+            S[live[better]] = T[better]
+        return np.einsum("ij,ij->i", S, X), S
 
     def _values(self, X):
         mask = self._in_k1(X)
@@ -542,8 +565,17 @@ class ConeSplitAntinorm(Antinorm):
         if np.any(mask):
             out[mask] = self.f1._values(X[mask])
         if np.any(~mask):
-            out[~mask] = self._support_min(X[~mask])
+            out[~mask] = self._support(X[~mask])[0]
         return out
+
+    def _grads(self, X):
+        mask = self._in_k1(X)
+        G = np.empty(X.shape)
+        if np.any(mask):
+            G[mask] = self.f1._grads(X[mask])
+        if np.any(~mask):
+            G[~mask] = self._support(X[~mask])[1]
+        return G
 
     def __repr__(self):
         return f"ConeSplitAntinorm({self.f1!r}, apex={self.apex.tolist()}, side={self.side!r})"

@@ -16,6 +16,11 @@ with its restricted dual generates them all:
   is pinned to the OY axis, and every output is verified against the
   antipolar oracle rather than trusted.
 
+The contact point of a non-PL antinorm is the root of the stationarity
+condition <grad f(u), u'> = 0 of the radius along the unit circle, taken
+with ``_grads`` (analytic, or Danskin for cone splits), so it is exact to
+rounding unless ``_grads`` falls back to finite differences.
+
 The only *symmetric* self-dual antinorm on the plane is sqrt(2xy); the
 probe at the end of the module quantifies how badly a symmetric candidate
 misses it.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_section, logit_points, simplex_grid
+from ._search import bracket_root, logit_points, simplex_grid
 from .config import DEFAULT
 from .duality import _dual2_batch, dual_numeric, dual_pl
 from .errors import (
@@ -202,65 +207,56 @@ def construct2(seed, verify_tol=1e-10):
 def random_autopolar_seed(k, rng, l_range=(0.12, 1.1), margin=0.02, attempts=300):
     """Sample a feasible seed for ``construct2`` (deterministic given rng).
 
-    Extension lengths are drawn adaptively so the chain keeps a positive
-    margin from the orthant boundary; infeasible draws are rejected and
-    retried.
+    Each extension length is drawn from ``l_range`` cut down to the lengths
+    that keep the new vertex a margin inside the orthant.  Near an axis
+    that cut can leave nothing of ``l_range``; the chain is then rejected
+    and restarted, up to ``attempts`` times.  One last chain gives every
+    move only its share of the room left on its side (the room over the
+    moves still to come there) and, where that share is below
+    ``l_range``, draws from its upper half, so no range is ever empty and
+    the chain never crowds an axis.  Lengths cannot break convexity: each
+    segment lies on a fixed polar line, pointing away from its foot.  A
+    chain that fails ``construct2`` is rejected too.
     """
     if k == 0:
         return AutopolarSeed(0)
-    for _ in range(attempts):
+    lo, hi = l_range
+    # build order: A_{-1} from A_0 along the tangent, then alternately A_j
+    # on the polar line of A_{-j} and A_{-(j+1)} on the polar line of A_j
+    moves = [(-1, 0, None)]
+    for j in range(1, k):
+        moves.append((j, j - 1, -j))
+        if j < k - 1:
+            moves.append((-(j + 1), -j, j))
+    for attempt in range(attempts + 1):
         angle = rng.uniform(0.25, math.pi / 2 - 0.25) if k > 1 else rng.uniform(0.2, math.pi / 2 - 0.05)
         if k == 1:
             return AutopolarSeed(1, angle)
-        a0 = np.array([math.cos(angle), math.sin(angle)])
-        pts = {0: a0}
+        pts = {0: np.array([math.cos(angle), math.sin(angle)])}
         params = []
-        ok = True
-
-        def draw(current, direction):
-            lo, hi = l_range
-            cap = hi
-            for c, dc in zip(current, direction):
-                if dc < -1e-12:
-                    cap = min(cap, 0.9 * (c - margin) / (-dc))
-            if cap <= lo:
-                return None
-            return float(rng.uniform(lo, cap))
-
-        t = np.array([-a0[1], a0[0]])
-        l = draw(a0, t)
-        if l is None:
-            continue
-        params.append(l)
-        pts[-1] = a0 + l * t
-        for j in range(1, k):
-            foot = pts[-j] / float(pts[-j] @ pts[-j])
-            d = pts[j - 1] - foot
-            d /= np.linalg.norm(d)
-            l = draw(pts[j - 1], d)
-            if l is None:
-                ok = False
-                break
-            params.append(l)
-            pts[j] = pts[j - 1] + l * d
-            if j < k - 1:
-                foot = pts[j] / float(pts[j] @ pts[j])
-                d = pts[-j] - foot
+        for i, (new, old, pole) in enumerate(moves):
+            if pole is None:
+                d = np.array([-pts[0][1], pts[0][0]])
+            else:
+                d = pts[old] - pts[pole] / float(pts[pole] @ pts[pole])
                 d /= np.linalg.norm(d)
-                l = draw(pts[-j], d)
-                if l is None:
-                    ok = False
-                    break
-                params.append(l)
-                pts[-(j + 1)] = pts[-j] + l * d
-        if not ok:
-            continue
-        seed = AutopolarSeed(k, angle, tuple(params))
-        try:
-            construct2(seed)
-        except InfeasibleSeedError:
-            continue
-        return seed
+            # the last chain leaves each later move on this side its share
+            share = 1 if attempt < attempts else sum(m[0] * new > 0 for m in moves[i:])
+            cap = hi
+            for c, dc in zip(pts[old], d):
+                if dc < -1e-12:
+                    cap = min(cap, 0.9 * (c - margin) / (-dc) / share)
+            if cap <= lo and attempt < attempts:
+                break
+            params.append(float(rng.uniform(lo if cap > lo else 0.5 * cap, cap)))
+            pts[new] = pts[old] + params[-1] * d
+        else:
+            seed = AutopolarSeed(k, angle, tuple(params))
+            try:
+                construct2(seed)
+            except InfeasibleSeedError:
+                continue
+            return seed
     raise InfeasibleSeedError(f"no feasible seed found for k={k}")
 
 
@@ -306,30 +302,6 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True, verify_tol=1e-
 # contact points
 # ---------------------------------------------------------------------------
 
-def _polish_tangency(f, phi, delta=2e-4):
-    """Sharpen a distance-stationary direction by root-finding.
-
-    Golden section locates a quadratic minimum only to sqrt(machine eps);
-    the stationarity condition  grad f(u) . u' = 0  (tangent line orthogonal
-    to the ray) is a root problem and recovers the direction to full
-    precision whenever the gradient is available analytically.
-    """
-    from scipy.optimize import brentq
-
-    def g(t):
-        u = np.array([math.cos(t), math.sin(t)])
-        gr = f.grad(u)
-        return float(gr @ np.array([-u[1], u[0]]))
-
-    lo, hi = phi - delta, phi + delta
-    try:
-        if g(lo) * g(hi) < 0:
-            return brentq(g, lo, hi, xtol=1e-15)
-    except Exception:
-        pass
-    return phi
-
-
 def _segment_closest(p, q):
     """Closest point to the origin on segment [p, q]."""
     d = q - p
@@ -361,7 +333,9 @@ def closest_antisphere_point(f):
     Returns ``(point, second_distance)`` where ``second_distance`` is the
     nearest candidate distance outside a small cluster around the winner
     (infinity if there is none).  Works for any antinorm; self-duality is
-    not assumed here.
+    not assumed here.  A non-PL 2-d antinorm is sampled in 4097 directions,
+    and each local minimum of the radius is closed onto the sign change of
+    <grad f(u), u'> next to it.
     """
     if f.dim == 2:
         pl = as_pl(f)
@@ -380,18 +354,25 @@ def closest_antisphere_point(f):
             if np.isfinite(r[-1]) and r[-1] <= r[-2]:
                 minima.append(len(r) - 1)
 
-            def radius(phi):
-                return 1.0 / np.maximum(f._values(np.stack([np.cos(phi), np.sin(phi)], axis=1)), 1e-300)
+            # the radius is least where <grad f(u), u'> falls through 0; over
+            # |grad f| it is a sine, whose rounding floor is a few ulps
+            def slope(t, rows):
+                U = np.stack([np.cos(t), np.sin(t)], axis=1)
+                G = f._grads(U)
+                return (G[:, 1] * U[:, 0] - G[:, 0] * U[:, 1]) / np.hypot(G[:, 0], G[:, 1])
 
             minima = np.array(minima, dtype=int)
-            lo, hi, _ = golden_section(radius, phis[np.maximum(minima - 1, 0)],
-                                       phis[np.minimum(minima + 1, len(phis) - 1)], 60)
-            cands = []
-            for mid in 0.5 * (lo + hi):
-                m = _polish_tangency(f, float(mid))
-                u = np.array([math.cos(m), math.sin(m)])
-                cands.append(u / f.value(u))
-            cands = np.array(cands)
+            lo = phis[np.maximum(minima - 1, 0)]
+            hi = phis[np.minimum(minima + 1, len(phis) - 1)]
+            s_lo, s_hi = slope(lo, None), slope(hi, None)
+            live = (s_lo > 0) & (s_hi < 0)
+            t = phis[minima]
+            if np.any(live):
+                a, b = bracket_root(slope, lo[live], hi[live], s_lo[live], s_hi[live], 64,
+                                    ftol=4 * np.finfo(float).eps)
+                t[live] = 0.5 * (a + b)
+            U = np.stack([np.cos(t), np.sin(t)], axis=1)
+            cands = U / f._values(U)[:, None]
     else:
         rng = np.random.default_rng(0)
         U = np.abs(rng.normal(size=(4096, f.dim)))

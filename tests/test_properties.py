@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from antinorms import (
@@ -115,3 +115,46 @@ def test_2d_pl_path_solves_no_lp(monkeypatch):
     g = dual_pl(PLAntinorm(A))
     assert len(g.functionals) == 4             # the axis rows meet no axis
     assert np.allclose(dual_pl(g).functionals, canonical, rtol=0, atol=1e-9)
+
+
+_R = 1.0 + np.sqrt(2.0)
+_APEX = np.array([1.0, 1.0]) / np.sqrt(2.0)
+# (antinorm, kink test): a point is off the kinks when the test is False
+_GRAD_CASES = [
+    (exprs.catalog("sum", dim=2), None),
+    (exprs.catalog("min", dim=2), "diagonal"),
+    (exprs.catalog("sqrt2xy"), None),
+    (exprs.catalog("min_eps", eps=0.3), "diagonal"),
+    (exprs.catalog("circle_arc", radius=2.2), None),
+    (exprs.catalog("rootsum3"), None),
+    (ProductAntinorm([0.2, 0.3, 0.5]), None),
+    (PLAntinorm([[1.0, 3.0], [2.0, 1.5], [4.0, 0.5]]), "pl"),
+    (exprs.ConeSplitAntinorm(exprs.catalog("circle_arc", radius=_R), _APEX, "upper", 4096), "diagonal"),
+    (exprs.ConeSplitAntinorm(exprs.catalog("circle_arc", radius=_R), _APEX, "lower", 4096), "diagonal"),
+]
+
+
+def _central_differences(f, x, h=1e-6):
+    g = np.empty(len(x))
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = h * x[i]
+        g[i] = (f.value(x + e) - f.value(x - e)) / (2.0 * e[i])
+    return g
+
+
+@settings(max_examples=100)
+@given(case=st.integers(min_value=0, max_value=len(_GRAD_CASES) - 1),
+       x=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=3, max_size=3))
+def test_grads_match_central_differences_and_euler(case, x):
+    f, kink = _GRAD_CASES[case]
+    x = np.array(x[:f.dim])
+    if kink == "diagonal":
+        assume(abs(x[0] - x[1]) > 1e-3 * x.max())
+    if kink == "pl":
+        v = np.sort(f.functionals @ x)
+        assume(v[1] - v[0] > 1e-3 * v[0])
+    g = f._grads(x[None, :])[0]
+    assert np.allclose(g, _central_differences(f, x), rtol=1e-5, atol=1e-7 * np.abs(g).max())
+    assert float(g @ x) == pytest.approx(f.value(x), rel=1e-12)
+    assert np.array_equal(f.grad(x), g)

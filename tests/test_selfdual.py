@@ -6,12 +6,14 @@ from scipy.optimize import brentq
 
 from antinorms import (
     AutopolarSeed,
+    ConeSplitAntinorm,
     InfeasibleSeedError,
     NotSelfDualError,
     PLAntinorm,
     ProductAntinorm,
     antipolar,
     catalog,
+    closest_antisphere_point,
     construct1,
     construct2,
     contact_point,
@@ -213,3 +215,38 @@ def test_construct1_precondition_violation_reported():
     # sum antinorm exceeds <apex, x> away from the apex ray
     with pytest.raises(ValueError):
         construct1(PLAntinorm([[1.0, 1.0]]), np.array([1.0, 0.0]), side="upper")
+
+
+# ---------------------------------------------------------------------------
+# cone split: exact tangency and contact
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_cone_split_k2_matches_closed_form_to_1e13(side):
+    f = ConeSplitAntinorm(catalog("circle_arc", radius=R), APEX, side=side, grid_n=4096)
+    P = np.random.default_rng(11).uniform(0.2, 3.0, size=(400, 2))
+    k2 = (P[:, 1] < P[:, 0]) if side == "upper" else (P[:, 1] > P[:, 0])
+    oracle = R * P.sum(axis=1) - R * np.linalg.norm(P, axis=1)
+    assert np.max(np.abs(f._values(P)[k2] / oracle[k2] - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_cone_split_contact_point_is_exact(side):
+    # the contact point sits on the split ray; Danskin gradients on K2 make
+    # the stationarity root exact there
+    f = ConeSplitAntinorm(catalog("circle_arc", radius=R), APEX, side=side, grid_n=4096)
+    a, _ = closest_antisphere_point(f)
+    assert abs(math.atan2(a[1], a[0]) - math.pi / 4) <= 1e-12
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k,seed", [(13, 5913), (14, 3414), (15, 1815), (16, 2016)])
+def test_random_autopolar_seed_succeeds_where_rejection_gave_up(k, seed):
+    poly = construct2(random_autopolar_seed(k, np.random.default_rng(seed)))
+    assert poly.vertices.shape == (2 * k, 2)
+
+
+def test_random_autopolar_seed_never_fails_for_k_13_to_16():
+    for k in range(13, 17):
+        for seed in range(400):
+            random_autopolar_seed(k, np.random.default_rng(seed))
