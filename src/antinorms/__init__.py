@@ -43,6 +43,7 @@ from .duality import (
     double_dual_check,
     dual_numeric,
     dual_pl,
+    dual_values,
     duality_discontinuity_demo,
     min_eps_dual_closed,
     young_check,

@@ -3,7 +3,8 @@
 Each primitive has its only copy here; the module imports nothing from the
 package.  Callers:
 
-* ``bracket_root``: ``duality._dual2_batch`` (tangency p || grad f),
+* ``bracket_root``: ``duality._dual2_batch`` (tangency p || grad f, the
+  2-d numeric dual behind ``duality.dual_values`` and ``dual_numeric``),
   ``exprs.ConeSplitAntinorm`` (tangency of x to the K1 antisphere),
   ``selfdual.closest_antisphere_point`` (stationary radius) and
   ``dynamics.lsr_lower_certificate`` (stationary ratio).
@@ -86,9 +87,12 @@ def bracket_root(fn, lo, hi, flo, fhi, iters, ftol=0.0):
 
 
 def logit_points(t):
-    """Points (s, 1 - s) of the 2-d unit simplex with s = 1/(1 + e^-t)."""
-    s = 1.0 / (1.0 + np.exp(-t))
-    return np.stack([s, 1.0 - s], axis=-1)
+    """Points (s, 1 - s) of the 2-d unit simplex with s = 1/(1 + e^-t).
+
+    The second coordinate is 1/(1 + e^t), not 1 - s, so it keeps its
+    relative precision and stays positive where 1 - s rounds to 0.
+    """
+    return np.stack([1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))], axis=-1)
 
 
 def simplex_grid(d, n):

@@ -6,9 +6,9 @@ implemented and checked here:
 
 * exact piecewise-linear duality: the functionals of f* are the vertices
   of the antiball of f (``dual_pl``),
-* a numeric dual estimate for black-box antinorms (``dual_numeric``); with
-  ``certify=True`` it takes the minimum with a solve on a denser grid, which
-  is still an estimate, not a certified bound,
+* a numeric dual estimate for black-box antinorms (``dual_numeric``),
+* ``dual_values``, the one batched entry point for dual values: exact for
+  piecewise-linear antinorms of dim <= 4, numeric otherwise,
 * the Young-type inequality  f*(p) f(x) <= <p, x>  (``young_check``); note
   the product bounds the pairing from *below*, the reverse of the norm
   case, since the dual is an infimum,
@@ -51,6 +51,7 @@ __all__ = [
     "DualReport",
     "dual_pl",
     "dual_numeric",
+    "dual_values",
     "young_check",
     "double_dual_check",
     "duality_discontinuity_demo",
@@ -95,6 +96,7 @@ def dual_pl(f):
 # ---------------------------------------------------------------------------
 
 _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps samples interior
+_N_GRID = 1025        # coarse logit grid of the 2-d dual
 _ROOT_STEPS = 90      # step cap of the tangency root finder
 _EPS = np.finfo(float).eps
 
@@ -109,7 +111,7 @@ def _ratio_2d(f, P, u):
     return r
 
 
-def _dual2_batch(f, P, n_coarse=1025, iters=_ROOT_STEPS):
+def _dual2_batch(f, P):
     """Vectorized 2-d duals: a tangency root on the logit of the simplex.
 
     The ratio <p,x>/f(x) is quasiconvex on the simplex (its sublevel sets
@@ -119,7 +121,7 @@ def _dual2_batch(f, P, n_coarse=1025, iters=_ROOT_STEPS):
     (p0 - p1) f(x) - <p, x> (g0 - g1) for a supergradient g, which by
     Euler's <g, x> = f(x) is p0 g1 - p1 g0: the minimum is where p is
     parallel to g.  ``bracket_root`` closes the bracket onto that sign
-    change, within at most ``iters`` steps; at a kink it closes onto the
+    change, within at most ``_ROOT_STEPS`` steps; at a kink it closes onto the
     jump.  Rows whose bracket is flat to rounding are settled at once, and
     every returned value is the ratio at a point, the smaller of the grid
     value and the value at the root.  The logit parametrization keeps
@@ -127,7 +129,7 @@ def _dual2_batch(f, P, n_coarse=1025, iters=_ROOT_STEPS):
     axis) resolvable.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    u = np.linspace(-_UMAX, _UMAX, n_coarse)
+    u = np.linspace(-_UMAX, _UMAX, _N_GRID)
     X = logit_points(u)
     fv = f._values(X)
     if np.all(fv <= 0):
@@ -137,14 +139,14 @@ def _dual2_batch(f, P, n_coarse=1025, iters=_ROOT_STEPS):
     idx = np.argmin(ratios, axis=1)
     best = ratios[rows, idx]
     i_lo = np.maximum(idx - 1, 0)
-    i_hi = np.minimum(idx + 1, n_coarse - 1)
+    i_hi = np.minimum(idx + 1, _N_GRID - 1)
     # a convex <p,x> - c f(x) cannot dip below its value where it is flat
     flat = np.maximum(ratios[rows, i_lo], ratios[rows, i_hi]) <= best * (1.0 + 8.0 * _EPS)
     k = np.nonzero(~flat)[0]
     if k.size == 0:
         return best
     ends = np.unique(np.concatenate([i_lo[k], i_hi[k]]))
-    G = np.zeros((n_coarse, 2))
+    G = np.zeros((_N_GRID, 2))
     Pk = P[k] / np.hypot(P[k, 0], P[k, 1])[:, None]
 
     def sine(Pr, g):
@@ -159,19 +161,13 @@ def _dual2_batch(f, P, n_coarse=1025, iters=_ROOT_STEPS):
     if k.size == 0:
         return best
     a, b = bracket_root(lambda t, r: sine(Pk[r], f._grads(logit_points(t))),
-                        u[i_lo[k]], u[i_hi[k]], h_lo[live], h_hi[live], iters, ftol=16 * _EPS)
+                        u[i_lo[k]], u[i_hi[k]], h_lo[live], h_hi[live], _ROOT_STEPS,
+                        ftol=16 * _EPS)
     best[k] = np.minimum(best[k], _ratio_2d(f, P[k], 0.5 * (a + b)))
     return best
 
 
-def _dual2_certified(f, P, n_coarse=1025, iters=_ROOT_STEPS):
-    """2-d duals of ``dual_numeric(certify=True)`` at a batch of points: the
-    smaller of the solves on ``n_coarse`` and ``4 n_coarse + 1`` grid points."""
-    return np.minimum(_dual2_batch(f, P, n_coarse=n_coarse, iters=iters),
-                      _dual2_batch(f, P, n_coarse=4 * n_coarse + 1, iters=iters))
-
-
-def _dual_nd(f, p, resolution=None, n_starts=8, seed=0, maxiter=500):
+def _dual_nd(f, p, resolution=None, n_starts=8, maxiter=500):
     d = f.dim
     if resolution is None:
         resolution = {3: 64, 4: 24}.get(d, 16)
@@ -193,7 +189,7 @@ def _dual_nd(f, p, resolution=None, n_starts=8, seed=0, maxiter=500):
             return 1e30
         return float(p @ x) / val
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [np.log(grid[j]) for j in order[:n_starts]]
     starts += [rng.normal(0.0, 2.0, size=d) for _ in range(max(1, n_starts // 2))]
     for z0 in starts:
@@ -204,43 +200,45 @@ def _dual_nd(f, p, resolution=None, n_starts=8, seed=0, maxiter=500):
     return best
 
 
-def dual_numeric(f, p, tol=DEFAULT.dual, n_coarse=1025, iters=_ROOT_STEPS, certify=True,
-                 resolution=None, n_starts=8, maxiter=500):
+def _numeric_duals(f, P, resolution=None, n_starts=8, maxiter=500):
+    """Numeric duals at the rows of ``P``: the tangency root of
+    ``_dual2_batch`` in d = 2, multi-start local descent row by row in
+    d >= 3 (``resolution``, ``n_starts`` and ``maxiter`` set its budget)."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if f.dim == 2:
+        return _dual2_batch(f, P)
+    return np.array([_dual_nd(f, p, resolution=resolution, n_starts=n_starts, maxiter=maxiter)
+                     for p in P])
+
+
+def dual_numeric(f, p, tol=DEFAULT.dual, resolution=None, n_starts=8, maxiter=500):
     """Numeric dual value  f*(p) = min over the unit simplex of <p,x>/f(x).
 
     The ratio is scale-invariant, so the compact simplex suffices.  Sampling
     stays in the interior (liminf convention at the boundary); d = 2 refines
-    by the tangency root of ``_dual2_batch``, at most ``iters`` steps, and
-    d >= 3 by multi-start local descent.  The result is
-    an estimate, not a certified bound.  With ``certify`` it is the minimum
-    of this solve and a second one on a denser grid, which can only lower
-    an overestimate.  Nested duals (dual-of-dual) pass smaller ``n_coarse``
-    and skip the second solve to stay affordable.  ``tol`` must be positive
-    and is recorded by ``NumericDualAntinorm``, but no stopping rule reads
-    it yet.
+    by the tangency root of ``_dual2_batch`` and d >= 3 by multi-start local
+    descent from the best points of a simplex grid of ``resolution``, with
+    ``n_starts`` starts of at most ``maxiter`` steps; nested duals
+    (dual-of-dual) pass a smaller budget to stay affordable.  The result is
+    an estimate, not a certified bound, and stays numeric for
+    piecewise-linear input (``dual_values`` takes the exact path).  ``tol``
+    must be positive and is recorded by ``NumericDualAntinorm``, but no
+    stopping rule reads it yet.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = as_point(p, f.dim)
-    if f.dim == 2:
-        solve = _dual2_certified if certify else _dual2_batch
-        return float(solve(f, q[None, :], n_coarse=n_coarse, iters=iters)[0])
-    val = _dual_nd(f, q, resolution=resolution, n_starts=n_starts, maxiter=maxiter)
-    if certify:
-        base = resolution or {3: 64, 4: 24}.get(f.dim, 16)
-        dense = _dual_nd(f, q, resolution=base * 2, n_starts=4)
-        val = min(val, dense)
-    return val
+    return float(_numeric_duals(f, q, resolution, n_starts, maxiter)[0])
 
 
-def _dual_values(f, P):
-    """Dual values at a batch of points, exact for PL, else numeric."""
+def dual_values(f, P):
+    """Dual values f*(p) at the rows of ``P``: exact (``dual_pl``) for a
+    piecewise-linear antinorm of dim <= 4, numeric estimates otherwise."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
     pl = as_pl(f)
     if pl is not None and pl.dim <= 4:
-        return dual_pl(pl)._values(np.atleast_2d(P))
-    if f.dim == 2:
-        return _dual2_batch(f, P)
-    return np.array([dual_numeric(f, row) for row in np.atleast_2d(P)])
+        return dual_pl(pl)._values(P)
+    return _numeric_duals(f, P)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,7 @@ def young_check(f, samples=1000, seed=0, dual=None):
     face = rng.random(n_x) < 0.2
     if np.any(face):
         X[np.nonzero(face)[0], rng.integers(0, d, size=face.sum())] = 0.0
-    fstar = _dual_values(f, P) if dual is None else dual._values(P)
+    fstar = dual_values(f, P) if dual is None else dual._values(P)
     fx = f._values(X)
     excess = fstar[:, None] * fx[None, :] - P @ X.T
     violation = max(0.0, float(np.max(excess)))
@@ -295,12 +293,11 @@ def double_dual_check(f, samples=40, seed=0):
         return DualReport(0.0, gap, samples, seed)
     from .exprs import NumericDualAntinorm
 
-    fstar = NumericDualAntinorm(f, tol=1e-9, n_coarse=385, iters=75)
+    fstar = NumericDualAntinorm(f, tol=1e-9)
     for x in X:
         s = x.sum()
         xs = x / s if s > 0 else x
-        fdd = dual_numeric(fstar, xs, tol=1e-7, n_coarse=257, iters=75, certify=False,
-                           resolution=12, n_starts=3)
+        fdd = dual_numeric(fstar, xs, tol=1e-7, resolution=12, n_starts=3)
         fdd *= s if s > 0 else 1.0
         F = continuous_extension_eval(f, x, ones)
         gap = max(gap, abs(fdd - F))
@@ -345,11 +342,11 @@ def duality_discontinuity_demo(eps_list, bound_samples=50, seed=0):
     rng = np.random.default_rng(seed)
     for eps in eps_list:
         f = BuiltinAntinorm("min_eps", eps=eps)
-        at_e1.append(dual_numeric(f, e1, tol=1e-10))
         P = rng.lognormal(0.0, 1.0, size=(bound_samples, 2))
-        vals = _dual2_batch(f, P)
+        vals = dual_values(f, np.vstack([e1, P]))
+        at_e1.append(float(vals[0]))
         bound = (2.0 / eps) * np.sqrt(P[:, 0] * P[:, 1])
-        max_excess = max(max_excess, float(np.max(vals - bound)))
+        max_excess = max(max_excess, float(np.max(vals[1:] - bound)))
     f0_dual = dual_pl(BuiltinAntinorm("min", dim=2))
     limit_val = f0_dual.value(e1)
     return DiscontinuityTable(eps_list, tuple(at_e1), float(limit_val), max(0.0, max_excess))

@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse import csr_matrix
 
 from ._report import Report
 from ._search import aitken_limit, bracket_root, logit_points, simplex_grid
@@ -67,6 +65,16 @@ __all__ = [
 ]
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _strongly_connected(S):
+    """Whether the digraph with boolean adjacency matrix ``S`` is strongly
+    connected: the transitive closure of I + S has no zero entry.  After k
+    squarings R holds the paths of length <= 2^k, and d - 1 steps suffice."""
+    R = np.eye(len(S), dtype=bool) | S
+    for _ in range((len(S) - 1).bit_length()):
+        R = R @ R
+    return bool(R.all())
 
 
 class MatrixFamily:
@@ -103,9 +111,7 @@ class MatrixFamily:
         self.has_zero_row = bool(np.any(absm.sum(axis=2).min(axis=0) == 0)) or bool(
             np.any((absm.sum(axis=2) == 0)))
         self.has_zero_col = bool(np.any((absm.sum(axis=1) == 0)))
-        support = (absm.sum(axis=0) > 0).astype(int)
-        n_comp, _ = connected_components(csr_matrix(support), directed=True, connection="strong")
-        self.has_common_invariant_subspace = bool(n_comp > 1)
+        self.has_common_invariant_subspace = not _strongly_connected(absm.sum(axis=0) > 0)
 
     @property
     def degenerate(self):
@@ -656,22 +662,11 @@ def ct_switching_check(family, f, s=1e-3, samples=256, seed=0):
         worst = max(worst, float(np.max(f._values(X @ S.T) / fx)))
     eps = 1.0 - worst
 
-    from .duality import _dual2_batch, dual_numeric
+    from .duality import dual_values
 
     Y = rng.dirichlet(np.ones(d), size=min(samples, 64))
     dual_steps = np.eye(d)[None, :, :] - s * np.transpose(family.matrices, (0, 2, 1))
     dual_steps = np.maximum(dual_steps, 0.0)
-
-    def fstar(P):
-        P = np.atleast_2d(P)
-        if d == 2:
-            return _dual2_batch(f, P, n_coarse=513, iters=80)
-        return np.array([dual_numeric(f, row, certify=False) for row in P])
-
-    fy = fstar(Y)
-    best_growth = math.inf
-    for S in dual_steps:
-        vals = fstar(Y @ S.T)
-        best_growth = min(best_growth, float(np.min(vals / fy)))
-    eps_dual = best_growth - 1.0
+    fz = dual_values(f, np.vstack([Y] + [Y @ S.T for S in dual_steps])).reshape(-1, len(Y))
+    eps_dual = float(np.min(fz[1:] / fz[0])) - 1.0
     return CTSwitchingReport(float(eps), float(eps_dual), float(s), len(X), seed)

@@ -427,37 +427,29 @@ def symmetrize(f, p):
 class NumericDualAntinorm(Antinorm):
     """The dual antinorm  f*(p) = min_x <p, x>/f(x)  evaluated numerically.
 
-    Evaluation delegates to :func:`antinorms.duality.dual_numeric`; the
-    instance only records the inner antinorm and solver tolerance.
+    Evaluation runs the numeric dual of :mod:`antinorms.duality` (as
+    ``dual_numeric`` does), also for piecewise-linear input; the instance
+    records the inner antinorm, the solver tolerance and the d >= 3 search
+    budget (simplex grid ``resolution``, ``n_starts`` and ``maxiter``).
     """
 
-    def __init__(self, inner, tol=DEFAULT.dual, n_coarse=513, iters=80, certify=False,
-                 resolution=16, n_starts=2, maxiter=200):
+    def __init__(self, inner, tol=DEFAULT.dual, resolution=16, n_starts=2, maxiter=200):
+        if tol <= 0:
+            raise ValueError("tol must be positive")
         self.inner = inner
         self.tol = float(tol)
-        self.n_coarse = int(n_coarse)
-        self.iters = int(iters)
-        self.certify = bool(certify)
-        self.resolution = int(resolution)   # d >= 3 simplex grid resolution
+        self.resolution = int(resolution)
         self.n_starts = int(n_starts)
         self.maxiter = int(maxiter)
         self.dim = inner.dim
 
     def _values(self, X):
-        from .duality import _dual2_batch, dual_numeric  # deferred: duality imports exprs
+        from .duality import _numeric_duals  # deferred: duality imports exprs
 
-        if self.dim == 2:
-            return _dual2_batch(self.inner, X, n_coarse=self.n_coarse, iters=self.iters)
-        return np.array([
-            dual_numeric(self.inner, row, tol=self.tol, certify=self.certify,
-                         resolution=self.resolution, n_starts=self.n_starts,
-                         maxiter=self.maxiter)
-            for row in X
-        ])
+        return _numeric_duals(self.inner, X, self.resolution, self.n_starts, self.maxiter)
 
     def settings(self):
-        return {"tol": self.tol, "n_coarse": self.n_coarse, "iters": self.iters,
-                "certify": self.certify, "resolution": self.resolution,
+        return {"tol": self.tol, "resolution": self.resolution,
                 "n_starts": self.n_starts, "maxiter": self.maxiter}
 
     def __repr__(self):

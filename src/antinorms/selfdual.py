@@ -35,7 +35,7 @@ import numpy as np
 
 from ._search import bracket_root, logit_points, simplex_grid
 from .config import DEFAULT
-from .duality import _dual2_batch, dual_numeric, dual_pl
+from .duality import dual_values
 from .errors import (
     DimensionMismatchError,
     InfeasibleSeedError,
@@ -430,20 +430,11 @@ def _probe_grid(dim, n):
 def is_selfdual(f, tol=1e-7, n_grid=1000):
     """Decide f* = f by comparing dual and primal values on a probe grid.
 
-    Piecewise-linear antinorms take the exact dual; everything else uses
-    the numeric dual.  Returns ``(verdict, max deviation)``.
+    The dual values come from ``dual_values``: exact for piecewise-linear
+    antinorms, numeric otherwise.  Returns ``(verdict, max deviation)``.
     """
     X = _probe_grid(f.dim, n_grid)
-    pl = as_pl(f)
-    if pl is not None and pl.dim <= 4:
-        g = dual_pl(pl)
-        dev = float(np.max(np.abs(g._values(X) - pl._values(X))))
-        return dev <= tol, dev
-    if f.dim == 2:
-        fstar = _dual2_batch(f, X)
-    else:
-        fstar = np.array([dual_numeric(f, row, certify=False) for row in X])
-    dev = float(np.max(np.abs(fstar - f._values(X))))
+    dev = float(np.max(np.abs(dual_values(f, X) - f._values(X))))
     return dev <= tol, dev
 
 

@@ -14,9 +14,11 @@ from antinorms import (
     dual_pl,
     duality_discontinuity_demo,
     min_eps_dual_closed,
+    symmetrize,
     young_check,
 )
-from antinorms.duality import _dual2_batch
+from antinorms import duality
+from antinorms.duality import _dual2_batch, dual_values
 
 
 def test_dual_of_sum_is_min():
@@ -125,10 +127,25 @@ def test_double_dual_recovers_extension_of_discontinuous():
     f = catalog("rootsum3_drop")
     fstar = NumericDualAntinorm(f, tol=1e-8, resolution=16, n_starts=2, maxiter=150)
     x = np.array([0.5, 0.5, 0.0])  # scaled copy of (1,1,0)
-    val = dual_numeric(fstar, x, tol=1e-6, certify=False, resolution=10, n_starts=2,
-                       maxiter=150) * 2.0
+    val = dual_numeric(fstar, x, tol=1e-6, resolution=10, n_starts=2, maxiter=150) * 2.0
     assert val == pytest.approx(4.0, abs=1e-4)
     assert f.value([1.0, 1.0, 0.0]) == 2.0
+
+
+@pytest.mark.parametrize("f", [
+    catalog("sum", dim=2),
+    catalog("min", dim=2),
+    PLAntinorm([[1.0, 0.2, 0.5], [0.3, 1.0, 0.1], [0.4, 0.6, 1.0]]),
+    symmetrize(catalog("min", dim=2), -math.inf),
+], ids=["sum2", "min2", "pl3", "symmetrized_min"])
+def test_dual_values_takes_the_exact_path_for_pl(f, monkeypatch):
+    def numeric(*args, **kwargs):
+        raise AssertionError("numeric dual called for a piecewise-linear antinorm")
+
+    monkeypatch.setattr(duality, "_dual2_batch", numeric)
+    monkeypatch.setattr(duality, "minimize", numeric)
+    P = np.random.default_rng(4).lognormal(0.0, 1.0, size=(25, f.dim))
+    assert np.array_equal(dual_values(f, P), dual_pl(f)._values(P))
 
 
 def test_discontinuity_demo_values():

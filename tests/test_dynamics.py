@@ -56,6 +56,17 @@ def test_family_validation():
         MatrixFamily([np.eye(2)], probabilities=[0.7])
 
 
+def test_invariant_subspace_flag_matches_strong_components():
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        d = int(rng.integers(1, 8))
+        mats = (rng.random((int(rng.integers(1, 3)), d, d)) < rng.uniform(0.05, 0.6)).astype(float)
+        n_comp, _ = connected_components(mats.sum(axis=0), directed=True, connection="strong")
+        assert MatrixFamily(mats).has_common_invariant_subspace == (n_comp > 1)
+
+
 def test_family_flags():
     assert DIAG.has_common_invariant_subspace       # both axes are invariant
     assert not DIAG.has_zero_row

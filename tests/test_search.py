@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from antinorms._search import bracket_root
+from antinorms._search import bracket_root, logit_points
 
 EPS = np.finfo(float).eps
 
@@ -105,3 +105,11 @@ def test_rows_stop_at_their_rounding_floor():
     a, b = bracket_root(fn, lo, hi, np.full(2, -4e-4), np.full(2, 6e-4), 100, ftol=4e-12)
     assert np.all(a == b) and np.all(np.abs(a - 0.4) <= 1e-8)
     assert len(fn.calls) <= 4
+
+
+def test_logit_points_are_interior_and_on_the_simplex():
+    t = np.linspace(-45.0, 45.0, 100_001)
+    X = logit_points(t)
+    assert np.all(X > 0.0) and np.all(X <= 1.0)
+    assert np.max(np.abs(X.sum(axis=1) - 1.0)) <= EPS
+    assert np.array_equal(logit_points(-t), X[:, ::-1])

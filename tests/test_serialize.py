@@ -56,7 +56,7 @@ def test_expr_roundtrip_identity(f):
 def test_numeric_dual_roundtrip():
     from antinorms import NumericDualAntinorm
 
-    f = NumericDualAntinorm(catalog("sqrt2xy"), tol=1e-9, n_coarse=257)
+    f = NumericDualAntinorm(catalog("sqrt2xy"), tol=1e-9)
     d = expr_to_dict(f)
     assert expr_to_dict(expr_from_dict(d)) == d
 
