@@ -12,7 +12,8 @@ package.  Callers:
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
 * ``simplex_grid``: ``duality._dual_nd``, ``selfdual._probe_grid``,
-  ``dynamics.lsr_lower_certificate``.
+  ``dynamics.lsr_lower_certificate``, ``geometry.prune_positive_hull``
+  (the directions of its extreme-point certificate).
 * ``aitken_limit``: ``exprs.continuous_extension_eval``,
   ``dynamics.invariant_body_iterate``.
 """

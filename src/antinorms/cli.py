@@ -29,6 +29,7 @@ digests for reproducibility audits.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -343,7 +344,10 @@ def cmd_demo_discontinuity(run):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; ``--seed`` has no default
+    here, ``main`` reads ``ANTINORMS_SEED`` on every call."""
     p = argparse.ArgumentParser(prog="antinorms",
                                 description="antinorms on the nonnegative orthant")
     p.add_argument("--version", action="version", version=__version__)
@@ -356,8 +360,7 @@ def _build_parser():
         sp.add_argument("--quiet", action="store_true")
         sp.add_argument("--manifest", help="write the run manifest to this path")
         if "seed" in shared:
-            sp.add_argument("--seed", type=int,
-                            default=int(os.environ.get("ANTINORMS_SEED", "0")))
+            sp.add_argument("--seed", type=int, help="default: $ANTINORMS_SEED, else 0")
         if "json" in shared:
             sp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
         if "output" in shared:
@@ -434,6 +437,8 @@ def _join_theta_range(argv):
 def main(argv=None):
     argv = _join_theta_range(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        args.seed = int(os.environ.get("ANTINORMS_SEED", "0"))
     run = Runner(args, argv)
     try:
         args.fn(run)

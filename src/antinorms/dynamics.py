@@ -10,7 +10,10 @@ provides desk-scale bounds and diagnostics:
   limit from above); enumeration runs over necklace representatives since
   rho is invariant under cyclic shifts.  Each word value is a
   Collatz-Wielandt bound on rho rounded up, so it does not rest on the
-  eigensolver; the work guard counts the matrix products the search does.
+  eigensolver; on reducible products it bounds each diagonal block of the
+  Frobenius normal form.  The words of one length go through one stacked
+  product and eigensolve (``_word_values``), in chunks; the work guard
+  counts the matrix products the search does.
 * ``lsr_lower_certificate`` -- the certified bound gamma(f) =
   inf_x min_A f(Ax)/f(x) for a supplied antinorm f; any antinorm gives a
   valid lower bound.  For piecewise-linear f the infimum is attained at the
@@ -29,8 +32,8 @@ provides desk-scale bounds and diagnostics:
   value by the observed stabilization residual of the support ratios, is
   rounded down, and is a diagnostic, not a certificate.
 * Lyapunov exponents of random products (Monte-Carlo with per-step sup-norm
-  renormalization) and Lyapunov-antinorm / continuous-time switching
-  checks.
+  renormalization, all trials advanced as one stack) and Lyapunov-antinorm /
+  continuous-time switching checks.
 """
 
 from __future__ import annotations
@@ -67,14 +70,15 @@ __all__ = [
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _strongly_connected(S):
-    """Whether the digraph with boolean adjacency matrix ``S`` is strongly
-    connected: the transitive closure of I + S has no zero entry.  After k
-    squarings R holds the paths of length <= 2^k, and d - 1 steps suffice."""
-    R = np.eye(len(S), dtype=bool) | S
-    for _ in range((len(S) - 1).bit_length()):
+def _closure(S):
+    """Transitive closure of I + S for boolean adjacency matrices ``S``
+    (a stack (..., d, d) works too); the digraph is strongly connected when
+    it has no zero entry.  After k squarings R holds the paths of length
+    <= 2^k, and d - 1 steps suffice."""
+    R = np.eye(S.shape[-1], dtype=bool) | S
+    for _ in range((S.shape[-1] - 1).bit_length()):
         R = R @ R
-    return bool(R.all())
+    return R
 
 
 class MatrixFamily:
@@ -111,7 +115,7 @@ class MatrixFamily:
         self.has_zero_row = bool(np.any(absm.sum(axis=2).min(axis=0) == 0)) or bool(
             np.any((absm.sum(axis=2) == 0)))
         self.has_zero_col = bool(np.any((absm.sum(axis=1) == 0)))
-        self.has_common_invariant_subspace = not _strongly_connected(absm.sum(axis=0) > 0)
+        self.has_common_invariant_subspace = not _closure(absm.sum(axis=0) > 0).all()
 
     @property
     def degenerate(self):
@@ -183,48 +187,94 @@ def _margin(d, L):
 
 
 def _collatz_wielandt(P):
-    """(max_i (P v)_i / v_i, eigensolver rho) with v the floored Perron vector.
+    """(max_i (P v)_i / v_i, eigensolver rho) per matrix of a stack P (N, d, d),
+    v each matrix's floored Perron vector.
 
     For P >= 0 and any v > 0 the first entry bounds rho(P) from above.
     """
     w, V = np.linalg.eig(P)
-    j = int(np.argmax(np.abs(w)))
-    v = np.abs(np.real(V[:, j]))
-    v = np.maximum(v / np.max(v), _CW_FLOOR)
-    return float(np.max((P @ v) / v)), float(np.abs(w[j]))
+    j = np.argmax(np.abs(w), axis=1)
+    rows = np.arange(len(P))
+    v = np.abs(np.real(V[rows, :, j]))
+    v = np.maximum(v / np.max(v, axis=1, keepdims=True), _CW_FLOOR)
+    return np.max((P @ v[..., None])[..., 0] / v, axis=1), np.abs(w[rows, j])
 
 
-def _word_value(mats, word):
-    """(nearest, upper) for rho(Pi_w)^{1/|w|}, Pi_w applying word[0] first.
+def _block_bounds(P, S):
+    """Per matrix of the stack P, max over the diagonal blocks of its Frobenius
+    normal form of a bound on the block's rho; ``S`` is the exact support of P.
 
-    The product is built with power-of-two renormalization (exact scaling).
-    ``nearest`` takes the eigensolver's spectral radius.  ``upper`` is a
-    rigorous bound that does not trust the eigensolver: Collatz-Wielandt,
-    rho(P) <= max_i (P v)_i / v_i for any v > 0, with v the computed right
-    (or, if that is loose, left) Perron vector floored at 2^-60; its k-th
-    root is rounded up by ``_margin`` and one more ulp.
+    The blocks are the strong components of the support digraph, and rho(P)
+    is the largest of their spectral radii.  A 1 x 1 block is its entry; a
+    larger one is irreducible and takes Collatz-Wielandt with its own Perron
+    vector.  A matrix with a float entry that underflowed to 0 where the
+    exact product is positive gets inf: its block values bound nothing.
     """
+    out = np.full(len(P), np.inf)
+    R = _closure(S)
+    for n in np.nonzero(~np.any(S & (P == 0), axis=(1, 2)))[0]:
+        best = 0.0
+        for comp in np.unique(R[n] & R[n].T, axis=0):
+            idx = np.nonzero(comp)[0]
+            block = P[n][np.ix_(idx, idx)]
+            best = max(best, block[0, 0] if len(idx) == 1 else _collatz_wielandt(block[None])[0][0])
+        out[n] = best
+    return out
+
+
+def _word_values(mats, words):
+    """(nearest, upper) lists of rho(Pi_w)^{1/k} for the rows w of the (N, k)
+    array ``words``, Pi_w applying w[0] first.
+
+    The N products are built as one stack, each renormalized by powers of
+    two (exact scaling).  ``nearest`` takes the eigensolver's spectral
+    radius.  ``upper`` is a rigorous bound that does not trust the
+    eigensolver: Collatz-Wielandt, rho(P) <= max_i (P v)_i / v_i for any
+    v > 0, with v the computed right Perron vector floored at 2^-60.  Where
+    that is loose the left Perron vector is tried, and where both are (a
+    reducible product, whose Perron vectors have zeros) the max over the
+    diagonal blocks of its Frobenius normal form (``_block_bounds``); a
+    nilpotent product gets exactly 0.  The k-th root is taken per word in
+    scalar ``math.log``/``math.exp``, whose one-ulp accuracy ``_margin``
+    assumes, and rounded up by ``_margin`` and one more ulp.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    k = words.shape[1]
     d = mats.shape[1]
-    P = np.eye(d)
-    exp2 = 0
-    for idx in word:
-        P = mats[idx] @ P
-        s = float(np.max(P))
-        if s > 1e100 or 0 < s < 1e-100:
-            e = math.frexp(s)[1]
-            P = np.ldexp(P, -e)
-            exp2 += e
+    P = mats[words[:, 0]]
+    exp2 = np.zeros(len(words), dtype=np.int64)
+    for t in range(k):
+        if t:
+            P = mats[words[:, t]] @ P
+        s = np.max(P, axis=(1, 2))
+        scale = (s > 1e100) | ((s > 0) & (s < 1e-100))
+        if np.any(scale):
+            e = np.frexp(s[scale])[1]
+            P[scale] = np.ldexp(P[scale], -e[:, None, None])
+            exp2[scale] += e
     cw, rho = _collatz_wielandt(P)
-    if cw > rho * (1.0 + 1e-12):   # right Perron vector has zeros: try the left one
-        cw = min(cw, _collatz_wielandt(P.T)[0])
-    if cw <= 0.0:
-        return 0.0, 0.0
-    k = len(word)
-    log2 = math.log(2.0) * exp2
-    near = math.exp((math.log(rho) + log2) / k) if rho > 0 else 0.0
-    L = (abs(math.log(cw)) + abs(log2)) / k
-    upper = math.exp((math.log(cw) + log2) / k) * (1.0 + _margin(d, L))
-    return near, math.nextafter(upper, math.inf)
+    loose = cw > rho * (1.0 + 1e-12)
+    if np.any(loose):   # right Perron vector has zeros: try the left one
+        cw[loose] = np.minimum(cw[loose], _collatz_wielandt(np.swapaxes(P[loose], 1, 2))[0])
+        loose &= cw > rho * (1.0 + 1e-12)
+    if np.any(loose):
+        support = mats > 0
+        S = support[words[loose, 0]]
+        for t in range(1, k):
+            S = support[words[loose, t]] @ S
+        cw[loose] = np.minimum(cw[loose], _block_bounds(P[loose], S))
+    near, upper = [], []
+    for c, r, e in zip(cw.tolist(), rho.tolist(), exp2.tolist()):
+        if c <= 0.0:
+            near.append(0.0)
+            upper.append(0.0)
+            continue
+        log2 = math.log(2.0) * e
+        near.append(math.exp((math.log(r) + log2) / k) if r > 0 else 0.0)
+        L = (abs(math.log(c)) + abs(log2)) / k
+        up = math.exp((math.log(c) + log2) / k) * (1.0 + _margin(d, L))
+        upper.append(math.nextafter(up, math.inf))
+    return near, upper
 
 
 def _round_down(x, d):
@@ -241,16 +291,22 @@ def _word_products(m, max_len):
     return sum(m ** math.gcd(i, k) for k in range(1, max_len + 1) for i in range(1, k + 1))
 
 
+_CHUNK = 4096   # words per stacked evaluation in ``lsr_upper``
+
+
 def lsr_upper(family, max_len=8):
     """min over words w (|w| <= max_len) of rho(Pi_w)^{1/|w|} and the word.
 
     rho(Pi)^{1/k} >= rho_check for every product, so the minimum is a valid
     upper bound; it is exact for families with an optimal periodic word of
     length <= max_len.  Words are enumerated over necklace representatives
-    because cyclic shifts leave the spectral radius unchanged, and products
-    are renormalized by powers of two to avoid overflow.  Each word value is
-    a Collatz-Wielandt bound rounded up (``_word_value``), so the returned
-    number is >= rho(Pi_w)^{1/|w|} of the exact product despite rounding.
+    because cyclic shifts leave the spectral radius unchanged.  The words of
+    one length are evaluated as stacks of at most 4,096 products
+    (``_word_values``, one batched product and eigensolve each), so memory
+    stays bounded; each word value is a Collatz-Wielandt bound rounded up,
+    so the returned number is >= rho(Pi_w)^{1/|w|} of the exact product
+    despite rounding.  Ties within 1e-15 keep the first word in necklace
+    order.
 
     The work guard counts the matrix products the search does (k per
     necklace of length k) and raises ``ValueError`` above 5e6 before any word
@@ -266,11 +322,13 @@ def lsr_upper(family, max_len=8):
     best = math.inf
     best_word = ""
     for k in range(1, max_len + 1):
-        for word in _necklaces(k, m):
-            _, val = _word_value(family.matrices, word)
-            if val < best - 1e-15:
-                best = val
-                best_word = "".join(_LETTERS[i] for i in word)
+        words = np.array(_necklaces(k, m))
+        for lo in range(0, len(words), _CHUNK):
+            chunk = words[lo:lo + _CHUNK]
+            for word, val in zip(chunk.tolist(), _word_values(family.matrices, chunk)[1]):
+                if val < best - 1e-15:
+                    best = val
+                    best_word = "".join(_LETTERS[i] for i in word)
     return best, best_word
 
 
@@ -405,15 +463,16 @@ def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
     ratios = []
     rho_words = {}
 
-    def word_value(word):
-        if not word:
-            return math.inf, math.inf
-        if word not in rho_words:
-            rho_words[word] = _word_value(family.matrices, word)
-        return rho_words[word]
+    def word_values(words):
+        """(nearest, upper) of each word; the uncached ones, all of one
+        length, are evaluated in one stack."""
+        new = [w for w in dict.fromkeys(words) if w not in rho_words]
+        if new:
+            rho_words.update(zip(new, zip(*_word_values(family.matrices, new))))
+        return [rho_words[w] for w in words]
 
     # gamma_high: best rounded-up word bound; gamma_near: best nearest value
-    gamma_near, gamma_high = map(min, zip(*(word_value((j,)) for j in range(family.size))))
+    gamma_near, gamma_high = map(min, zip(*word_values([(j,) for j in range(family.size)])))
     gamma_low = 0.0
     stalled = False
     k_done = 0
@@ -440,8 +499,7 @@ def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
         ratios.append(sup)          # previous iterate was normalized to support 1
         W = pruned / sup
         words = new_words
-        for w in new_words:
-            near, upper = word_value(w)
+        for near, upper in word_values(new_words):
             gamma_near = min(gamma_near, near)
             gamma_high = min(gamma_high, upper)
         k_done = k + 1
@@ -540,9 +598,12 @@ def lyapunov_exponent_mc(family, steps=1000, trials=32, seed=0, force=False):
 
     Each trial iterates a vector with per-step sup-norm renormalization
     (the limit is norm-independent and the telescoped log norms equal the
-    log of the product norm applied to the start vector).  Deterministic
-    for a fixed seed.  Families with zero rows/columns make the estimate
-    unreliable and are refused unless ``force``.
+    log of the product norm applied to the start vector).  All trials
+    advance together as one (trials, d, 1) stack; their letters are drawn
+    at once, trial after trial, which is the stream of drawing them one
+    trial at a time.  Deterministic for a fixed seed.  Families with zero
+    rows/columns make the estimate unreliable and are refused unless
+    ``force``.
     """
     if family.probabilities is None:
         raise ValueError("lyapunov_exponent_mc needs a family with probabilities")
@@ -554,20 +615,17 @@ def lyapunov_exponent_mc(family, steps=1000, trials=32, seed=0, force=False):
             "(pass force=True to override)")
     rng = np.random.default_rng(seed)
     mats = family.matrices
-    p = family.probabilities
-    vals = np.empty(trials)
-    for t in range(trials):
-        x = np.ones(family.dim)
-        acc = 0.0
-        idxs = rng.choice(family.size, size=steps, p=p)
-        for i in idxs:
-            x = mats[i] @ x
-            s = np.max(np.abs(x))
-            if s <= 0:
-                raise DegenerateBodyError("trajectory collapsed to zero")
-            acc += math.log(s)
-            x = x / s
-        vals[t] = acc / steps
+    idxs = rng.choice(family.size, size=(trials, steps), p=family.probabilities)
+    X = np.ones((trials, family.dim, 1))
+    norms = np.empty((steps, trials))
+    with np.errstate(divide="ignore", invalid="ignore"):   # a collapse shows as NaN
+        for s, i in zip(norms, idxs.T):
+            X = mats[i] @ X
+            np.max(np.abs(X), axis=(1, 2), out=s)
+            X /= s[:, None, None]
+    if not np.all(norms > 0):
+        raise DegenerateBodyError("trajectory collapsed to zero")
+    vals = np.sum(np.log(norms), axis=0) / steps
     est = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return LyapunovMCResult(est, stderr, steps, trials, seed)

@@ -31,6 +31,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from ._search import simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 
@@ -123,15 +124,13 @@ def _enumerate_vertices(halfspaces, tol=DEFAULT.geometry):
         raise DegenerateBodyError("no basic solutions: empty or degenerate body")
     combo_idx = np.array(combos)[good]
     sols = np.linalg.solve(M[good], rhs[combo_idx][..., None])[..., 0]
-    cand = []
-    for x, combo in zip(sols, combo_idx):
-        if np.any(x < -1e-9):
-            continue
-        if np.any(A @ np.maximum(x, 0.0) < 1.0 - _FEAS_TOL):
-            continue
-        if not np.any(combo < m):      # only axis constraints active: the apex
-            continue
-        cand.append(np.maximum(_solve_exact(rows[combo], rhs[combo]), 0.0))
+    # basic solutions in the orthant, feasible, and not the apex (where only
+    # axis constraints are active)
+    feasible = (~np.any(sols < -1e-9, axis=1)
+                & ~np.any(np.maximum(sols, 0.0) @ A.T < 1.0 - _FEAS_TOL, axis=1)
+                & np.any(combo_idx < m, axis=1))
+    cand = [np.maximum(_solve_exact(rows[combo], rhs[combo]), 0.0)
+            for combo in combo_idx[feasible]]
     if not cand:
         raise DegenerateBodyError("conic polytope has no vertices (empty body?)")
     return _dedupe_sorted(np.array(cand), DEFAULT.vertex_dedupe)
@@ -299,31 +298,61 @@ def _lp_redundant(v, others, tol):
     return res.status == 0
 
 
+def _extreme_by_direction(pts, tol):
+    """Rows that some direction y of the simplex grid ``simplex_grid(d, 8)``
+    makes the unique minimizer of <y, .> over all rows, by a margin of
+    tol + 1e-6 (1 + |row|_inf).
+
+    Such a row is not <= a convex combination of the others plus tol: that
+    combination would have <y, .> <= <y, row> + tol (y >= 0 sums to 1) but
+    is >= the second smallest value.  The 1e-6 keeps the verdict through
+    the LP solver's 1e-7 feasibility tolerance.
+    """
+    S = pts @ simplex_grid(pts.shape[1], 8).T          # (n, directions)
+    order = np.argpartition(S, 1, axis=0)[:2]
+    cols = np.arange(S.shape[1])
+    first, second = S[order[0], cols], S[order[1], cols]
+    margin = tol + 1e-6 * (1.0 + np.max(np.abs(pts[order[0]]), axis=1))
+    extreme = np.zeros(len(pts), dtype=bool)
+    extreme[order[0][second - first > margin]] = True
+    return extreme
+
+
 def prune_positive_hull(points, tol=1e-10):
     """Extreme points of co_+ {points}.
 
     A point is redundant iff a convex combination of the others is
     componentwise <= it (the +R^d_+ part absorbs dominated points).  d = 2
     uses the staircase sweep, which drops a point b when a point of the
-    chord between its kept neighbours is <= b + tol * (1 + |b|_inf); higher
-    dimensions solve one small LP feasibility problem per point, with the
-    combination <= b + tol.
+    chord between its kept neighbours is <= b + tol * (1 + |b|_inf).
+
+    Higher dimensions visit the points in order, each against the points
+    still kept, and the verdict is that of one small LP feasibility problem
+    (a combination <= b + tol); the LP runs only when no certificate
+    decides, as in Clarkson, "More output-sensitive geometric algorithms"
+    (FOCS 1994).  A point is dropped without it when a kept point is <= it +
+    tol componentwise (a vertex of the LP's simplex is feasible), and kept
+    without it when a direction of a fixed grid makes it the unique
+    minimizer over all points by a margin (``_extreme_by_direction``;
+    Farkas makes the LP infeasible).  Both certificates decide as the LP
+    would, so the kept set is the one the LP alone gives.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] <= 1:
         return pts.copy()
     if pts.shape[1] == 2:
         return _prune_2d(pts, tol)
-    keep = list(range(pts.shape[0]))
-    i = 0
-    while i < len(keep):
-        v = pts[keep[i]]
-        others = pts[[k for j, k in enumerate(keep) if j != i]]
-        if _lp_redundant(v, others, tol):
-            keep.pop(i)
-        else:
-            i += 1
-    return pts[keep]
+    extreme = _extreme_by_direction(pts, tol)
+    kept = np.ones(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        if extreme[i]:
+            continue
+        kept[i] = False
+        others = pts[kept]
+        if not (np.any(np.all(others <= pts[i] + tol, axis=1))
+                or _lp_redundant(pts[i], others, tol)):
+            kept[i] = True
+    return pts[kept]
 
 
 def positive_hull_value(points, x):

@@ -7,6 +7,7 @@ identity on the JSON level.  Schemas for every wire format are shipped in
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -157,14 +158,24 @@ SCHEMAS = {
 }
 
 
-def validate(obj, schema_name):
-    """Return ``obj`` if it matches ``SCHEMAS[schema_name]``; raise ValueError naming
-    the first violation otherwise."""
+@functools.cache
+def _validator(schema_name):
+    """The compiled validator of ``SCHEMAS[schema_name]``; its schema is checked once."""
     import jsonschema
 
-    try:
-        jsonschema.validate(obj, SCHEMAS[schema_name])
-    except jsonschema.ValidationError as e:
+    schema = SCHEMAS[schema_name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate(obj, schema_name):
+    """Return ``obj`` if it matches ``SCHEMAS[schema_name]``; raise ValueError naming
+    the violation ``jsonschema.validate`` would raise otherwise."""
+    from jsonschema.exceptions import best_match
+
+    e = best_match(_validator(schema_name).iter_errors(obj))
+    if e is not None:
         path = "/".join(map(str, e.absolute_path)) or "top level"
-        raise ValueError(f"not a valid {schema_name} ({path}): {e.message}") from None
+        raise ValueError(f"not a valid {schema_name} ({path}): {e.message}")
     return obj

@@ -346,3 +346,28 @@ def test_output_keys_are_pinned(cmd, files, capsys):
         assert main([cmd, *argv, "--quiet"]) == 0
         keys = {line.split()[0].split(".")[0] for line in capsys.readouterr().out.splitlines()}
         assert keys == _KEYS[cmd]
+
+
+def test_env_seed_read_on_every_call(files, capsys, monkeypatch):
+    _, write = files
+    fam = write("fam.json", family_to_dict(MatrixFamily([[[2.0]]], probabilities=[1.0])))
+    seeds = []
+    for env in ("5", "77"):
+        monkeypatch.setenv("ANTINORMS_SEED", env)
+        assert main(["lyapunov", "--family", fam, "--steps", "3", "--trials", "2",
+                     "--json", "--quiet"]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["seed"])
+    assert seeds == [5, 77]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": 2, "matrices": [[["x", 0.0], [0.0, 1.0]]]},
+     "not a valid family (matrices/0/0/0): 'x' is not of type 'number'"),
+    ({"dim": 0, "matrices": "a"}, "not a valid family (matrices): 'a' is not of type 'array'"),
+    ([1, 2], "not a valid family (top level): [1, 2] is not of type 'object'"),
+])
+def test_invalid_family_error_text(files, capsys, obj, message):
+    _, write = files
+    path = write("bad.json", obj)
+    assert main(["lsr", "--family", path, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -331,3 +331,79 @@ def test_ct_rejects_bad_step():
     fam = MatrixFamily([np.array([[-5.0, 0.0], [0.0, -1.0]])], allow_negative=True)
     with pytest.raises(NegativeCoordinateError):
         ct_switching_check(fam, catalog("sum", dim=2), s=0.5)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against scalar references
+# ---------------------------------------------------------------------------
+
+def test_word_values_upper_bounds_exact_rho():
+    import mpmath
+
+    from antinorms.dynamics import _word_values
+
+    rng = np.random.default_rng(31)
+    checked = nilpotent = 0
+    with mpmath.workdps(60):
+        for t in range(160):
+            d, m, k = int(rng.integers(2, 5)), 3, int(rng.integers(1, 5))
+            mats = rng.uniform(0.0, 1.0, (m, d, d)) * (rng.random((m, d, d)) < 0.5)
+            if t % 4 == 0:      # strictly upper triangular up to one permutation
+                perm = rng.permutation(d)
+                mats = np.triu(mats, 1)[:, perm][:, :, perm]
+            elif t % 4 == 1:    # block upper triangular: reducible products
+                mats[:, d // 2:, :d // 2] = 0.0
+            mats *= 10.0 ** rng.uniform(-60.0, 60.0, (m, 1, 1))
+            words = rng.integers(0, m, size=(4, k))
+            _, upper = _word_values(mats, words)
+            for word, up in zip(words, upper):
+                S = np.eye(d, dtype=bool)
+                for i in word:
+                    S = (mats[i] > 0).astype(int) @ S > 0
+                if not np.any(np.linalg.matrix_power(S.astype(int), d)):
+                    assert up == 0.0          # nilpotent: mpmath's eig is noise there
+                    nilpotent += 1
+                    continue
+                P = mpmath.eye(d)
+                for i in word:
+                    P = mpmath.matrix(mats[i].tolist()) * P
+                rho = max(abs(e) for e in mpmath.eig(P, left=False, right=False))
+                assert up >= rho ** (mpmath.mpf(1) / k)
+                checked += 1
+    assert checked >= 300 and nilpotent >= 20
+
+
+def test_mc_batched_matches_per_trial_loop():
+    fam = MatrixFamily(np.random.default_rng(4).lognormal(0.0, 1.0, (3, 3, 3)),
+                       probabilities=[0.2, 0.3, 0.5])
+    for trials in (1, 16):
+        rng = np.random.default_rng(9)
+        vals = []
+        for _ in range(trials):
+            x, acc = np.ones(3), 0.0
+            for i in rng.choice(3, size=300, p=fam.probabilities):
+                x = fam.matrices[i] @ x
+                acc += math.log(np.max(x))
+                x = x / np.max(x)
+            vals.append(acc / 300)
+        mc = lyapunov_exponent_mc(fam, steps=300, trials=trials, seed=9)
+        assert mc.estimate == pytest.approx(np.mean(vals), rel=1e-14, abs=0)
+        stderr = np.std(vals, ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+        assert mc.stderr == pytest.approx(stderr, rel=1e-14, abs=0)
+
+
+def test_lsr_upper_reducible_word_takes_diagonal_blocks():
+    # the Perron vectors of a triangular matrix have zeros; rho = 0.81
+    fam = MatrixFamily([[[0.7, 0.38, 0.0], [0.0, 0.78, 0.0], [0.0, 0.0, 0.81]]])
+    val, _ = lsr_upper(fam, max_len=1)
+    assert 0.81 <= val <= 0.81 * (1.0 + 1e-14)
+
+
+def test_word_values_underflowed_product_keeps_a_bound():
+    from antinorms.dynamics import _word_values
+
+    # the diagonal of A^2 is 1e-340 exactly but underflows to 0 in floats,
+    # so its 1 x 1 diagonal blocks would bound rho(A^2)^(1/2) = 1e-170 by 0
+    A = np.array([[1e-170, 1.0], [0.0, 1e-170]])
+    _, upper = _word_values(A[None], [[0, 0]])
+    assert upper[0] >= 1e-170

@@ -176,3 +176,45 @@ def test_dedupe_sorted_matches_pairwise_loop():
         near = X[rng.integers(0, len(X), size=len(X) // 2)]
         X = np.vstack([X, near + rng.normal(0.0, 1e-9, near.shape), near])
         assert _dedupe_sorted(X, 1e-9).tobytes() == _dedupe_reference(X, 1e-9).tobytes()
+
+
+def _prune_reference(points, tol=1e-10):
+    """Sequential pruning with one redundancy LP per point against the points
+    still kept: is some convex combination of them <= the point + tol?"""
+    from scipy.optimize import linprog
+
+    keep = list(range(len(points)))
+    i = 0
+    while i < len(keep):
+        others = points[[k for j, k in enumerate(keep) if j != i]]
+        n = len(others)
+        if n and linprog(np.zeros(n), A_ub=others.T, b_ub=points[keep[i]] + tol,
+                         A_eq=np.ones((1, n)), b_eq=[1.0], bounds=[(0, None)] * n,
+                         method="highs").status == 0:
+            keep.pop(i)
+        else:
+            i += 1
+    return points[keep]
+
+
+def test_prune_matches_sequential_lp_reference():
+    rng = np.random.default_rng(21)
+    for t in range(36):
+        d, n = 3 + t % 2, int(rng.integers(4, 16))
+        if t % 3 == 0:
+            P = rng.uniform(0.0, 1.0, (n, d))
+        elif t % 3 == 1:
+            P = rng.lognormal(0.0, 1.0, (n, d))
+        else:   # extreme rows on the surface prod a_i = 1
+            P = rng.lognormal(0.0, 0.5, (n, d - 1))
+            P = np.hstack([P, 1.0 / np.prod(P, axis=1, keepdims=True)])
+        pick = lambda: P[rng.integers(0, n, size=2)]
+        lam = rng.random((2, 1))
+        nudge = 1e-6 * np.eye(d)[rng.integers(0, d, size=2)]
+        X = np.vstack([P, pick(),                                 # duplicates
+                       pick() + 1e-12,                            # near-duplicates within tol
+                       1.3 * pick() + 0.1,                        # dominated
+                       pick() - nudge,                            # just below a row
+                       lam * pick() + (1.0 - lam) * pick()])      # on a face
+        X = X[rng.permutation(len(X))]
+        assert prune_positive_hull(X).tobytes() == _prune_reference(X).tobytes()
