@@ -14,7 +14,6 @@ class Tolerances:
     vertex_dedupe: float = 1e-9    # clustering of enumerated vertices
     redundancy: float = 1e-9       # LP feasibility margin for redundant functionals
     dual: float = 1e-8             # default accuracy target of numeric duals
-    extension_witness: float = 1e-6  # agreement between boundary-limit witnesses
     contact_unique: float = 1e-6   # margin for second-best contact candidates
 
 

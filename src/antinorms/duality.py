@@ -325,13 +325,13 @@ class DiscontinuityTable(Report):
     max_bound_excess: float    # max of f*_eps(p,q) - (2/eps) sqrt(pq), clipped at 0
 
 
-def duality_discontinuity_demo(eps_list, bound_samples=50, seed=0):
+def duality_discontinuity_demo(eps_list, seed=0):
     """Demonstrate that f -> f* is discontinuous.
 
     For every eps > 0 the dual of min{x,y} + eps*sqrt(xy) vanishes at
     (1, 0), while the dual of the eps = 0 limit is p + q, which equals 1
     there.  Also verifies the upper bound f*_eps(p,q) <= (2/eps) sqrt(pq)
-    at sampled interior points.
+    at 50 sampled interior points.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if any(e <= 0 or e > 1 for e in eps_list):
@@ -342,7 +342,7 @@ def duality_discontinuity_demo(eps_list, bound_samples=50, seed=0):
     rng = np.random.default_rng(seed)
     for eps in eps_list:
         f = BuiltinAntinorm("min_eps", eps=eps)
-        P = rng.lognormal(0.0, 1.0, size=(bound_samples, 2))
+        P = rng.lognormal(0.0, 1.0, size=(50, 2))
         vals = dual_values(f, np.vstack([e1, P]))
         at_e1.append(float(vals[0]))
         bound = (2.0 / eps) * np.sqrt(P[:, 0] * P[:, 1])

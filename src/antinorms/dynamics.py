@@ -47,7 +47,7 @@ from ._report import Report
 from ._search import aitken_limit, bracket_root, logit_points, simplex_grid
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
 from .exprs import PLAntinorm, as_pl
-from .geometry import ConicPolytope, positive_hull_value, prune_positive_hull
+from .geometry import ConicPolytope, prune_positive_hull
 
 __all__ = [
     "MatrixFamily",
@@ -87,9 +87,9 @@ class MatrixFamily:
     Degeneracy flags are computed on construction: zero rows/columns and
     common invariant coordinate subspaces (detected as proper closed vertex
     sets of the union support digraph, i.e. the digraph not being strongly
-    connected).  Operations relying on irreducibility refuse degenerate
-    families unless forced.  ``allow_negative`` admits Metzler-type
-    matrices for the continuous-time check only.
+    connected).  Only ``lyapunov_exponent_mc`` refuses one (a zero row or
+    column) unless forced.  ``allow_negative`` admits Metzler-type matrices
+    for the continuous-time check only.
     """
 
     def __init__(self, matrices, probabilities=None, allow_negative=False):
@@ -112,9 +112,8 @@ class MatrixFamily:
             p = None
         self.probabilities = p
         absm = np.abs(mats)
-        self.has_zero_row = bool(np.any(absm.sum(axis=2).min(axis=0) == 0)) or bool(
-            np.any((absm.sum(axis=2) == 0)))
-        self.has_zero_col = bool(np.any((absm.sum(axis=1) == 0)))
+        self.has_zero_row = bool(np.any(absm.sum(axis=2) == 0))
+        self.has_zero_col = bool(np.any(absm.sum(axis=1) == 0))
         self.has_common_invariant_subspace = not _closure(absm.sum(axis=0) > 0).all()
 
     @property
@@ -305,8 +304,8 @@ def lsr_upper(family, max_len=8):
     (``_word_values``, one batched product and eigensolve each), so memory
     stays bounded; each word value is a Collatz-Wielandt bound rounded up,
     so the returned number is >= rho(Pi_w)^{1/|w|} of the exact product
-    despite rounding.  Ties within 1e-15 keep the first word in necklace
-    order.
+    despite rounding.  Ties within a relative 1e-15 keep the first word in
+    necklace order, so the bound scales with the family.
 
     The work guard counts the matrix products the search does (k per
     necklace of length k) and raises ``ValueError`` above 5e6 before any word
@@ -326,7 +325,7 @@ def lsr_upper(family, max_len=8):
         for lo in range(0, len(words), _CHUNK):
             chunk = words[lo:lo + _CHUNK]
             for word, val in zip(chunk.tolist(), _word_values(family.matrices, chunk)[1]):
-                if val < best - 1e-15:
+                if val < best * (1.0 - 1e-15):
                     best = val
                     best_word = "".join(_LETTERS[i] for i in word)
     return best, best_word
@@ -411,16 +410,15 @@ def lsr_lower_certificate(family, f):
 class BodyIterationResult:
     """Final iterate and gamma bracket of ``invariant_body_iterate``.
 
-    ``body`` collects the iterated dual-side vertex set W: its positive
-    hull is the invariant-body candidate for the transposed family, and the
-    PL antinorm with functionals W (``antinorm``) is the extremal-antinorm
-    candidate for the original family.  The bracket is rounded outward:
+    ``antinorm`` has the iterated dual-side vertex set W as functionals, the
+    extremal-antinorm candidate for the original family; ``body`` (built on
+    demand) is co_+ W, the invariant-body candidate for the transposed
+    family.  The bracket is rounded outward:
     ``gamma_high`` is a certified word bound rounded up; ``gamma_low`` is the
     stabilization estimate, capped by the best word's nearest value rounded
     down.
     """
 
-    body: ConicPolytope
     gamma_low: float
     gamma_high: float
     antinorm: PLAntinorm
@@ -428,8 +426,12 @@ class BodyIterationResult:
     support_ratios: list = field(default_factory=list)
     stalled: bool = False
 
+    @property
+    def body(self):
+        return ConicPolytope.from_vertices(self.antinorm.functionals)   # W >= 0
 
-def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
+
+def invariant_body_iterate(family, P0, iters=12):
     """Positive-hull iteration toward an invariant conic body.
 
     The vertex set W_0 is the half-space set of ``P0`` and each step maps
@@ -486,7 +488,7 @@ def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
             stalled = True
             break
         pruned = prune_positive_hull(cand)
-        if pruned.shape[0] > max_vertices:
+        if pruned.shape[0] > 600:
             raise DegenerateBodyError(f"vertex explosion at iteration {k}")
         # pruning only drops rows, so each survivor matches a candidate exactly
         new_words = []
@@ -512,9 +514,7 @@ def invariant_body_iterate(family, P0, iters=12, max_vertices=600):
             est = ratios[-1]
         residual = abs(est / gamma_near - 1.0) if gamma_near > 0 else 1.0
         gamma_low = max(gamma_low, gamma_near * max(0.0, 1.0 - residual))
-    body = ConicPolytope.from_vertices(W)
     return BodyIterationResult(
-        body=body,
         gamma_low=min(gamma_low, _round_down(gamma_near, family.dim)),
         gamma_high=gamma_high,
         antinorm=PLAntinorm(np.maximum(W, 0.0)),
@@ -545,16 +545,15 @@ class TransposeDualityReport:
         return self.gammas_match and self.body_residual <= self.body_tol
 
 
-def transpose_extremal_check(family, f, tol=0.02, body_tol=0.1):
+def transpose_extremal_check(family, f):
     """Verify extremal-antinorm transpose duality for a near-extremal f.
 
     If f is extremal for the family then f* is extremal for the transposed
-    family with the same gamma (checked within ``tol``).  The companion
-    body statement  co_+ {A^T G*} = gamma G*  with G* the antipolar of the
-    antiball of f is probed on an interior band of directions and the
-    relative support-function residual reported against ``body_tol``; it is
-    looser because iterates whose tails keep spreading (families with
-    invariant coordinate axes) never equilibrate near the axis directions.
+    family with the same gamma (within ``tol`` = 0.02).  The body statement
+    co_+ {A^T G*} = gamma G*, G* the antipolar of the antiball of f, is
+    probed on an interior band of directions against ``body_tol`` = 0.1 in
+    relative support-function residual; looser, since iterates whose tails
+    keep spreading (invariant coordinate axes) never equilibrate there.
     """
     from .duality import dual_pl
 
@@ -576,7 +575,7 @@ def transpose_extremal_check(family, f, tol=0.02, body_tol=0.1):
     h_ref = np.min(probes @ Vstar.T, axis=1)
     gamma_ref = 0.5 * (g1 + g2)
     residual = float(np.max(np.abs(h_img / (gamma_ref * h_ref) - 1.0))) if gamma_ref > 0 else math.inf
-    return TransposeDualityReport(g1, g2, residual, tol, body_tol)
+    return TransposeDualityReport(g1, g2, residual, 0.02, 0.1)
 
 
 # ---------------------------------------------------------------------------

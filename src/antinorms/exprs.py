@@ -166,12 +166,12 @@ class PLAntinorm(Antinorm):
     def _grads(self, X):
         return self.functionals[np.argmin(X @ self.functionals.T, axis=1)]
 
-    def active_functionals(self, x, tol=1e-9):
-        """Rows attaining the minimum at ``x`` within ``tol`` (relative)."""
+    def active_functionals(self, x):
+        """Rows attaining the minimum at ``x`` within 1e-9 (relative)."""
         p = as_point(x, self.dim)
         vals = self.functionals @ p
         m = vals.min()
-        return self.functionals[vals <= m + tol * (1.0 + abs(m))]
+        return self.functionals[vals <= m + 1e-9 * (1.0 + abs(m))]
 
     def canonical(self):
         return canonicalize_pl(self)
@@ -609,27 +609,27 @@ def _dominated_by_hull(row, others, tol):
     return res.status == 0
 
 
-def canonicalize_pl(f, tol=DEFAULT.redundancy):
+def canonicalize_pl(f):
     """Remove redundant functionals and sort the rest lexicographically.
 
     A row a_j is redundant exactly when a convex combination of the other
     rows is componentwise <= a_j (then min_i <a_i, x> <= <a_j, x> on all of
     R^d_+ by monotonicity, and dropping a_j never changes the minimum).
-    In d = 2 one staircase sweep drops a_j when a point of the chord between
-    its kept neighbours is <= a_j + tol * (1 + |a_j|_inf).  In d >= 3 one LP
-    per row, in lexicographic order, drops a_j when a convex combination of
-    the rows still kept is <= a_j + tol.  Either way the output is
-    deterministic.
+    With tol = ``DEFAULT.redundancy`` (1e-9): in d = 2 one staircase sweep
+    drops a_j when a point of the chord between its kept neighbours is
+    <= a_j + tol * (1 + |a_j|_inf); in d >= 3 one LP per row, in
+    lexicographic order, drops a_j when a convex combination of the rows
+    still kept is <= a_j + tol.  Either way the output is deterministic.
     """
     A = np.unique(f.functionals, axis=0)  # sorts lexicographically
     if A.shape[1] == 2:
-        return PLAntinorm(_prune_2d(A, tol))
+        return PLAntinorm(_prune_2d(A, DEFAULT.redundancy))
     keep = list(range(A.shape[0]))
     i = 0
     while i < len(keep):
         row = A[keep[i]]
         others = A[[k for j, k in enumerate(keep) if j != i]]
-        if _dominated_by_hull(row, others, tol):
+        if _dominated_by_hull(row, others, DEFAULT.redundancy):
             keep.pop(i)
         else:
             i += 1
@@ -657,13 +657,13 @@ def as_pl(f):
 # continuous extension by the boundary limit
 # ---------------------------------------------------------------------------
 
-def continuous_extension_eval(f, x, witness, ks=(2, 3, 4, 5, 6, 7, 8)):
+def continuous_extension_eval(f, x, witness):
     """Boundary value of the unique continuous extension of ``f``.
 
     For x on the boundary of R^d_+ the extension is the limit of f along the
     segment toward a strictly positive witness:  F(x) = lim_{t->0+}
     f((1-t) x + t w).  The limit exists and F >= f because the orthant is
-    polyhedral.  Numerically the segment is sampled at t = 10^{-k} and the
+    polyhedral.  The segment is sampled at t = 10^{-k}, k = 2..8, and the
     sequence accelerated by iterated Aitken extrapolation, which handles the
     sqrt(t) convergence rate of antinorms with concave boundary reductions.
     Interior points return f(x) directly; the result is witness-independent
@@ -675,7 +675,7 @@ def continuous_extension_eval(f, x, witness, ks=(2, 3, 4, 5, 6, 7, 8)):
         raise NegativeCoordinateError("witness must be strictly positive")
     if np.all(p > 0):
         return f.value(p)
-    t = 10.0 ** -np.asarray(ks, dtype=float)
+    t = 10.0 ** -np.arange(2.0, 9.0)
     pts = (1.0 - t)[:, None] * p[None, :] + t[:, None] * w[None, :]
     v = f._values(pts)
     if np.max(np.abs(np.diff(v))) < 1e-13 * (1.0 + np.abs(v[-1])):

@@ -105,13 +105,13 @@ def _vertices_2d(A, tol):
     return _dedupe_sorted(np.maximum(cand, 0.0), DEFAULT.vertex_dedupe)
 
 
-def _enumerate_vertices(halfspaces, tol=DEFAULT.geometry):
+def _enumerate_vertices(halfspaces):
     A = np.atleast_2d(np.asarray(halfspaces, dtype=float))
     m, d = A.shape
     if d > 4:
         raise DimensionMismatchError("exact vertex enumeration supports dim <= 4")
     if d == 2:
-        return _vertices_2d(A, tol)
+        return _vertices_2d(A, DEFAULT.geometry)
     # constraint rows: <a_j, x> >= 1  and  x_i >= 0
     rows = np.vstack([A, np.eye(d)])
     rhs = np.concatenate([np.ones(m), np.zeros(d)])
@@ -195,13 +195,13 @@ class ConicPolytope:
             self._vertices = V
         return self._vertices
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         p = np.asarray(x, dtype=float)
-        if np.any(p < -tol):
+        if np.any(p < -1e-9):
             return False
         if self._halfspaces is not None:
-            return bool(np.all(self._halfspaces @ p >= 1.0 - tol))
-        return positive_hull_value(self._vertices, p) >= 1.0 - tol
+            return bool(np.all(self._halfspaces @ p >= 1.0 - 1e-9))
+        return positive_hull_value(self._vertices, p) >= 1.0 - 1e-9
 
     def support(self, x):
         """min over the body of <x, .>, i.e. the dual antinorm at x."""
@@ -318,13 +318,14 @@ def _extreme_by_direction(pts, tol):
     return extreme
 
 
-def prune_positive_hull(points, tol=1e-10):
+def prune_positive_hull(points):
     """Extreme points of co_+ {points}.
 
     A point is redundant iff a convex combination of the others is
-    componentwise <= it (the +R^d_+ part absorbs dominated points).  d = 2
-    uses the staircase sweep, which drops a point b when a point of the
-    chord between its kept neighbours is <= b + tol * (1 + |b|_inf).
+    componentwise <= it (the +R^d_+ part absorbs dominated points); the
+    margin is tol = 1e-10.  d = 2 uses the staircase sweep, which drops a
+    point b when a point of the chord between its kept neighbours is
+    <= b + tol * (1 + |b|_inf).
 
     Higher dimensions visit the points in order, each against the points
     still kept, and the verdict is that of one small LP feasibility problem
@@ -337,6 +338,7 @@ def prune_positive_hull(points, tol=1e-10):
     Farkas makes the LP infeasible).  Both certificates decide as the LP
     would, so the kept set is the one the LP alone gives.
     """
+    tol = 1e-10
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] <= 1:
         return pts.copy()

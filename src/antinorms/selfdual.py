@@ -185,13 +185,13 @@ def _validate_chain(V):
             raise InfeasibleSeedError("chain is not strictly convex")
 
 
-def construct2(seed, verify_tol=1e-10):
+def construct2(seed):
     """Build the autopolar conic polygon of ``seed`` and verify it.
 
     k = 0 is the degenerate single-vertex polygon at (1, 0) with antinorm
     f(x, y) = x.  Every output is checked against the antipolar oracle:
     the vertex set of the antipolar must reproduce the polygon within
-    ``verify_tol``.
+    1e-10.
     """
     if seed.k == 0:
         return ConicPolygon2D(0, [[1.0, 0.0]])
@@ -199,28 +199,28 @@ def construct2(seed, verify_tol=1e-10):
     _validate_chain(V)
     poly = ConicPolygon2D(seed.k, V)
     dual_vertices = antipolar(poly.to_polytope()).vertices()
-    if dual_vertices.shape != V.shape or not np.allclose(dual_vertices, V, atol=verify_tol, rtol=0):
+    if dual_vertices.shape != V.shape or not np.allclose(dual_vertices, V, atol=1e-10, rtol=0):
         raise InfeasibleSeedError("constructed polygon failed the antipolar oracle")
     return poly
 
 
-def random_autopolar_seed(k, rng, l_range=(0.12, 1.1), margin=0.02, attempts=300):
+def random_autopolar_seed(k, rng):
     """Sample a feasible seed for ``construct2`` (deterministic given rng).
 
-    Each extension length is drawn from ``l_range`` cut down to the lengths
-    that keep the new vertex a margin inside the orthant.  Near an axis
-    that cut can leave nothing of ``l_range``; the chain is then rejected
-    and restarted, up to ``attempts`` times.  One last chain gives every
-    move only its share of the room left on its side (the room over the
-    moves still to come there) and, where that share is below
-    ``l_range``, draws from its upper half, so no range is ever empty and
-    the chain never crowds an axis.  Lengths cannot break convexity: each
-    segment lies on a fixed polar line, pointing away from its foot.  A
-    chain that fails ``construct2`` is rejected too.
+    Each extension length is drawn from [0.12, 1.1] cut down to the lengths
+    that keep the new vertex 0.02 inside the orthant.  Near an axis that cut
+    can leave nothing of the range; the chain is then rejected and
+    restarted, up to 300 times.  One last chain gives every move only its
+    share of the room left on its side (the room over the moves still to
+    come there) and, where that share is below the range, draws from its
+    upper half, so no range is ever empty and the chain never crowds an
+    axis.  Lengths cannot break convexity: each segment lies on a fixed
+    polar line, pointing away from its foot.  A chain that fails
+    ``construct2`` is rejected too.
     """
     if k == 0:
         return AutopolarSeed(0)
-    lo, hi = l_range
+    lo, hi, margin, attempts = 0.12, 1.1, 0.02, 300
     # build order: A_{-1} from A_0 along the tangent, then alternately A_j
     # on the polar line of A_{-j} and A_{-(j+1)} on the polar line of A_j
     moves = [(-1, 0, None)]
@@ -264,7 +264,7 @@ def random_autopolar_seed(k, rng, l_range=(0.12, 1.1), margin=0.02, attempts=300
 # Construction 1: piece + restricted dual
 # ---------------------------------------------------------------------------
 
-def construct1(f1, apex, side="upper", grid_n=20000, verify=True, verify_tol=1e-6):
+def construct1(f1, apex, side="upper", grid_n=20000, verify=True):
     """Glue ``f1`` on the subcone K1 with its K1-restricted dual on K2.
 
     Preconditions (checked on samples): |apex| = 1, f1(apex) = 1 and
@@ -272,7 +272,7 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True, verify_tol=1e-
     line orthogonal to the apex ray.  The restricted dual
     f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is realized by support-function
     minimization over the K1 antisphere.  The glued function is self-dual;
-    with ``verify`` a sampled self-duality check runs before returning.
+    with ``verify`` it is checked by ``is_selfdual`` (tol 1e-6, 160 points).
     """
     a = as_point(apex, 2)
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
@@ -292,7 +292,7 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True, verify_tol=1e-
         raise ValueError(f"precondition f1 <= <apex, .> fails on K1 at {w.tolist()}")
     f = ConeSplitAntinorm(f1, a, side=side, grid_n=grid_n)
     if verify:
-        ok, dev = is_selfdual(f, tol=verify_tol, n_grid=160)
+        ok, dev = is_selfdual(f, tol=1e-6, n_grid=160)
         if not ok:
             raise NotSelfDualError(f"glued antinorm failed self-duality: deviation {dev:.3e}")
     return f
@@ -389,20 +389,20 @@ def closest_antisphere_point(f):
     return best, second
 
 
-def contact_point(f, tol=1e-9, unique_margin=DEFAULT.contact_unique):
+def contact_point(f):
     """The unique point with f(a) = 1 and |a| = 1 of a self-dual antinorm.
 
-    It is the antisphere point closest to the origin; uniqueness is
-    verified by requiring every other local closest-point candidate to sit
-    strictly outside the unit sphere.  Raises ``NotSelfDualError`` when no
+    It is the antisphere point closest to the origin (|a| = 1 within 1e-9);
+    every other local closest-point candidate must lie at distance
+    >= 1 + ``DEFAULT.contact_unique``.  Raises ``NotSelfDualError`` when no
     unit-distance point exists or the minimizer is ambiguous.
     """
     a, second = closest_antisphere_point(f)
     dist = float(np.linalg.norm(a))
-    if abs(dist - 1.0) > max(tol, 1e-9):
+    if abs(dist - 1.0) > 1e-9:
         raise NotSelfDualError(
             f"closest antisphere point has |a| = {dist!r}; no unit contact point")
-    if second < 1.0 + unique_margin:
+    if second < 1.0 + DEFAULT.contact_unique:
         raise NotSelfDualError(f"contact point not unique: runner-up at distance {second!r}")
     fa = f.value(a)
     if abs(fa - 1.0) > 1e-7:
@@ -415,16 +415,15 @@ def contact_point(f, tol=1e-9, unique_margin=DEFAULT.contact_unique):
 # ---------------------------------------------------------------------------
 
 def _probe_grid(dim, n):
-    """Deterministic interior probe points on the unit simplex, spread
-    logarithmically toward the boundary."""
+    """Deterministic interior probe points on the unit simplex: in d = 2
+    spread logarithmically toward the boundary, in d >= 3 the first n points
+    of the coarsest simplex lattice (resolution >= 2) that has n."""
     if dim == 2:
         return logit_points(np.linspace(-14.0, 14.0, n))
     res = 2
-    while True:
-        g = simplex_grid(dim, res)
-        if g.shape[0] >= n:
-            return g[:n]
+    while math.comb(res + dim - 1, dim - 1) < n:   # points of simplex_grid(dim, res)
         res += 1
+    return simplex_grid(dim, res)[:n]
 
 
 def is_selfdual(f, tol=1e-7, n_grid=1000):
@@ -453,24 +452,25 @@ class SymmetricProbeReport:
         return self.symmetric and self.selfdual and self.hyperbola_dev <= self.tol
 
 
-def symmetric_selfdual_probe(f, tol=1e-7, n_grid=1000):
+def symmetric_selfdual_probe(f):
     """Probe the unique-symmetric-self-dual property in the plane.
 
     If ``f`` is symmetric and self-dual it must coincide with sqrt(2xy);
-    the report carries the sampled symmetry defect, the self-duality
-    deviation and the distance to sqrt(2xy) on a log-uniform antisphere
-    grid (log spacing resolves the behavior near the axis rays, where
-    polygonal candidates deviate most).
+    the report carries the symmetry defect, the self-duality deviation and
+    the distance to sqrt(2xy) on a log-uniform grid of 1000 antisphere
+    points (log spacing resolves the behavior near the axis rays, where
+    polygonal candidates deviate most), judged at tol = 1e-7.
     """
     if f.dim != 2:
         raise DimensionMismatchError("the symmetric probe is 2-dimensional")
-    tau = np.linspace(-12.0, 12.0, n_grid)
+    tol = 1e-7
+    tau = np.linspace(-12.0, 12.0, 1000)
     phis = np.arctan(np.exp(tau))
     U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     vals = f._values(U)
     sym_dev = float(np.max(np.abs(vals - f._values(U[:, ::-1]))))
-    symmetric = sym_dev <= max(tol, 1e-9)
-    ok, sd_dev = is_selfdual(f, tol=max(tol, 1e-7), n_grid=min(n_grid, 1000))
+    symmetric = sym_dev <= tol
+    ok, sd_dev = is_selfdual(f, tol=tol, n_grid=1000)
     keep = vals > 1e-15
     S = U[keep] / vals[keep, None]
     hyper = np.abs(1.0 - np.sqrt(2.0 * S[:, 0] * S[:, 1]))

@@ -61,19 +61,19 @@ def _clip(points):
     return pieces
 
 
-def antisphere_points(f, n=400):
-    """Sampled antisphere of a 2-d antinorm; ``render`` clips it to the box."""
-    phis = np.linspace(1e-4, np.pi / 2 - 1e-4, n)
+def antisphere_points(f):
+    """Antisphere of a 2-d antinorm in 400 directions; ``render`` clips it."""
+    phis = np.linspace(1e-4, np.pi / 2 - 1e-4, 400)
     U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     vals = f._values(U)
     keep = vals > 1e-9
     return list(U[keep] / vals[keep, None])
 
 
-def polygon_chain(V, reach=3 * VIEW):
-    """Vertex chain closed by a vertical ray from V[0] and a horizontal one from V[-1]."""
-    top = V[0] + np.array([0.0, reach])
-    right = V[-1] + np.array([reach, 0.0])
+def polygon_chain(V):
+    """Vertex chain closed by rays 3 * VIEW long, up from V[0], right from V[-1]."""
+    top = V[0] + np.array([0.0, 3 * VIEW])
+    right = V[-1] + np.array([3 * VIEW, 0.0])
     return [top, *V, right]
 
 

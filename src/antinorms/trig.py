@@ -230,14 +230,12 @@ class TrigContext:
     _origin_pos: float = field(default=0.0, repr=False)
 
     @classmethod
-    def build(cls, f, mode="sector", contact=None):
+    def build(cls, f, mode="sector"):
         if f.dim != 2:
             raise DimensionMismatchError("concave trigonometry is 2-dimensional")
         if mode not in ("sector", "literal"):
             raise ValueError("mode must be 'sector' or 'literal'")
-        if contact is None:
-            contact, _ = closest_antisphere_point(f)
-        contact = as_point(contact, 2)
+        contact = as_point(closest_antisphere_point(f)[0], 2)
         pl = as_pl(f)
         boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f)
         ctx = cls(f, contact, math.atan2(contact[1], contact[0]), mode, boundary)
@@ -339,25 +337,25 @@ class IdentityReport:
     mode: str
 
 
-def _pole_at(ctx, P, tol=1e-9):
+def _pole_at(ctx, P):
     """Pole of the support line at P: the active functional for PL
     antinorms, grad f(P) otherwise (Euler: <grad f, P> = f(P) = 1)."""
     pl = as_pl(ctx.f)
     if pl is not None:
-        active = pl.active_functionals(P, tol=1e-9)
+        active = pl.active_functionals(P)
         if len(active) != 1:
             return None  # corner
         return active[0]
     return ctx.f.grad(P)
 
 
-def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200, corner_eps=1e-4):
+def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
     """Residual of  cosh_G t cosh_G* t* + sinh_G t sinh_G* t* = 1.
 
     t* is the parameter of the pole q of the support line at P_t on the
     dual antisphere; for a self-dual context the same context serves as its
-    own dual.  Points within ``corner_eps`` of a polygon corner have a
-    set-valued support line and are skipped and counted separately.
+    own dual.  Points within 1e-4 of a polygon corner have a set-valued
+    support line and are skipped and counted separately.
     """
     if ctx_dual is None:
         ctx_dual = ctx
@@ -372,7 +370,7 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200, corner_eps=1e
     corners = ctx.corners()
     for th in thetas:
         P = ctx.point_at(float(th))
-        if len(corners) and float(np.min(np.linalg.norm(corners - P, axis=1))) < corner_eps:
+        if len(corners) and float(np.min(np.linalg.norm(corners - P, axis=1))) < 1e-4:
             skips += 1
             continue
         q = _pole_at(ctx, P)

@@ -227,7 +227,7 @@ def test_transpose_duality_three_families():
     ]
     for fam in fams:
         res = invariant_body_iterate(fam, SIMPLEX, iters=10)
-        rep = transpose_extremal_check(fam, res.antinorm, tol=0.02)
+        rep = transpose_extremal_check(fam, res.antinorm)
         assert rep.gammas_match, (rep.gamma_primal, rep.gamma_dual_transposed)
 
 
@@ -407,3 +407,33 @@ def test_word_values_underflowed_product_keeps_a_bound():
     A = np.array([[1e-170, 1.0], [0.0, 1e-170]])
     _, upper = _word_values(A[None], [[0, 0]])
     assert upper[0] >= 1e-170
+
+
+def test_lsr_upper_tie_margin_is_relative():
+    # an absolute 1e-15 margin lets no word below 1e-15 replace the first one
+    val, word = lsr_upper(DIAG.scaled(1e-20), max_len=4)
+    assert word == "AB"
+    assert val == pytest.approx(math.sqrt(2.0) * 1e-20, rel=1e-14)
+    fam = MatrixFamily([[[0.0, 1e-170, 0.0], [0.0, 0.0, 1e-170], [1.0, 0.0, 0.0]]])
+    val, word = lsr_upper(fam, max_len=3)
+    assert word == "AAA"
+    assert val == pytest.approx(1e-340 ** (1.0 / 3.0), rel=1e-14)
+
+
+def test_body_iterate_prunes_once_per_iteration(monkeypatch):
+    import antinorms.dynamics
+    import antinorms.geometry
+
+    calls = []
+    prune = antinorms.geometry.prune_positive_hull
+
+    def counted(points):
+        calls.append(len(points))
+        return prune(points)
+
+    monkeypatch.setattr(antinorms.dynamics, "prune_positive_hull", counted)
+    monkeypatch.setattr(antinorms.geometry, "prune_positive_hull", counted)
+    for fam in (DIAG, shear_family(0.9)):
+        calls.clear()
+        res = invariant_body_iterate(fam, SIMPLEX, iters=6)
+        assert len(calls) == res.iterations == 6

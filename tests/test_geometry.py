@@ -68,7 +68,7 @@ def test_antipolar_order_reversal():
         Hbody = ConicPolytope.from_halfspaces(Hsub)   # fewer constraints: G subset Hbody
         Gs, Hs = antipolar(G), antipolar(Hbody)
         for v in Hs.vertices():                        # H* subset G*
-            assert Gs.contains(v, tol=1e-9)
+            assert Gs.contains(v)
 
 
 def test_vertices_dim4_cross_simplex():

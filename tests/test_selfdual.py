@@ -133,9 +133,9 @@ def test_is_selfdual_sqrt2xy():
 
 
 def test_symmetric_probe_hyperbola_and_product():
-    rep = symmetric_selfdual_probe(catalog("sqrt2xy"), 1e-7)
+    rep = symmetric_selfdual_probe(catalog("sqrt2xy"))
     assert rep.passed and rep.hyperbola_dev <= 1e-12
-    rep2 = symmetric_selfdual_probe(ProductAntinorm([0.5, 0.5]), 1e-7)
+    rep2 = symmetric_selfdual_probe(ProductAntinorm([0.5, 0.5]))
     assert rep2.passed
 
 
@@ -143,7 +143,7 @@ def test_symmetric_probe_rejects_symmetrized_polygon():
     rng = np.random.default_rng(8)
     poly = construct2(random_autopolar_seed(2, rng))
     f = symmetrize(poly.antinorm(), -math.inf)
-    rep = symmetric_selfdual_probe(f, 1e-7)
+    rep = symmetric_selfdual_probe(f)
     assert rep.symmetric
     assert not rep.selfdual
     assert rep.selfdual_dev > 1e-3
@@ -206,7 +206,7 @@ def test_construct1_pl_edge_gives_pl_ray_piece():
 
 def test_construct1_selfdual_verification():
     f = construct1(catalog("circle_arc", radius=R), APEX, side="upper",
-                   grid_n=4096, verify=True, verify_tol=1e-6)
+                   grid_n=4096, verify=True)
     ok, dev = is_selfdual(f, tol=1e-6, n_grid=300)
     assert ok, dev
 
@@ -250,3 +250,18 @@ def test_random_autopolar_seed_never_fails_for_k_13_to_16():
     for k in range(13, 17):
         for seed in range(400):
             random_autopolar_seed(k, np.random.default_rng(seed))
+
+
+def test_probe_grid_matches_growing_search():
+    from antinorms._search import simplex_grid
+    from antinorms.selfdual import _probe_grid
+
+    def grown(dim, n):   # try resolutions 2, 3, ... until one has n points
+        res = 2
+        while len(simplex_grid(dim, res)) < n:
+            res += 1
+        return simplex_grid(dim, res)[:n]
+
+    for dim in (3, 4, 5):
+        for n in [*range(1, 201), 1000]:
+            assert _probe_grid(dim, n).tobytes() == grown(dim, n).tobytes()
