@@ -23,6 +23,10 @@ for boundary ratios and makes the dual of a discontinuous antinorm agree
 with the dual of its continuous extension.  In d = 2 the minimum is the
 tangency point where p is parallel to a supergradient of f (the equality
 case of the Young-type inequality), found as a root (``_dual2_batch``).
+In d >= 3 the ratio is quasiconvex on the simplex as well, so a converged
+local descent reaches the minimum; Nelder-Mead descents from one shared
+simplex grid run until the two lowest agree within the tolerance
+(``_dual_nd``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 from .exprs import (
     BuiltinAntinorm,
+    NumericDualAntinorm,
     PLAntinorm,
     as_point,
     as_pl,
@@ -98,6 +103,7 @@ def dual_pl(f):
 _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps samples interior
 _N_GRID = 1025        # coarse logit grid of the 2-d dual
 _ROOT_STEPS = 90      # step cap of the tangency root finder
+_NM_FATOL = 1e-13     # absolute value resolution of a d >= 3 Nelder-Mead descent
 _EPS = np.finfo(float).eps
 
 
@@ -167,7 +173,50 @@ def _dual2_batch(f, P):
     return best
 
 
-def _dual_nd(f, p, resolution=None, n_starts=8, maxiter=500):
+def _softmax(z):
+    """The point of the unit simplex with log-coordinates ``z`` up to a shift."""
+    x = np.exp(z - z.max())
+    return x / x.sum()
+
+
+def _settled(f, p, x, m, tol):
+    """Whether a descent minimum ``m`` at ``x`` may stop the search.
+
+    In softmax coordinates a face of the simplex is flat, so descents can
+    agree at a point on a face that is not the minimum.  A point with a
+    coordinate below ``tol`` is accepted only when a supergradient g there
+    certifies m: f(y) <= <g, y> on R^d_+ gives f*(p) >= min p_i/g_i over
+    g_i > 0.  Near a minimum the value is flat: a point whose value is
+    within ``tol`` of it lies only within about sqrt(tol) of the minimizer,
+    so the bound is judged at a slack of sqrt(tol) relative.
+    """
+    if x.min() >= tol:
+        return True
+    with np.errstate(divide="ignore", invalid="ignore"):   # a coordinate may be 0
+        g = f._grads(x[None])[0]
+    pos = g > 0
+    if not (pos.any() and np.all(np.isfinite(g))):
+        return False
+    return np.min(p[pos] / g[pos]) >= m - (math.sqrt(tol) * abs(m) + _NM_FATOL)
+
+
+def _dual_nd(f, P, tol, resolution, n_starts, maxiter):
+    """Duals in d >= 3 at the rows of ``P``: local descents on the simplex,
+    stopped once the two lowest agree.
+
+    One simplex grid of ``resolution`` and its (rows x grid) ratio matrix
+    serve every row.  Nelder-Mead descents run in softmax coordinates,
+    from the row's best grid point, then ``max(1, n_starts // 2)`` random
+    starts (the same ``default_rng(0)`` draws for every row), then the next
+    ``n_starts - 1`` grid points.  The ratio is quasiconvex, so a descent
+    that converges finds the minimum, but Nelder-Mead can stall at a kink:
+    a row stops once its two lowest descent minima agree within ``tol``
+    relative, or within the descents' own resolution ``_NM_FATOL`` for a
+    value near zero (on a face only with a certificate, see ``_settled``),
+    and after all ``n_starts + max(1, n_starts // 2)`` descents at the
+    latest.  Its value is the smallest of the grid value and every
+    descent's minimum.
+    """
     d = f.dim
     if resolution is None:
         resolution = {3: 64, 4: 24}.get(d, 16)
@@ -175,40 +224,48 @@ def _dual_nd(f, p, resolution=None, n_starts=8, maxiter=500):
     fv = f._values(grid)
     if np.all(fv <= 0):
         raise DegenerateBodyError("antinorm vanishes on the whole sample set")
+    # a product coordinate by coordinate, so a row's ratios do not depend on its batch
+    num = sum(np.multiply.outer(P[:, j], grid[:, j]) for j in range(d))
     with np.errstate(divide="ignore"):
-        ratios = np.where(fv > 0, (grid @ p) / np.where(fv > 0, fv, 1.0), np.inf)
-    order = np.argsort(ratios)
-    best = float(ratios[order[0]])
+        ratios = np.where(fv > 0, num / np.where(fv > 0, fv, 1.0), np.inf)
+    near = np.argsort(ratios, axis=1)[:, :max(n_starts, 1)]
+    logs = np.log(grid)
+    randoms = np.random.default_rng(0).normal(0.0, 2.0, size=(max(1, n_starts // 2), d))
+    out = np.empty(len(P))
+    for i, p in enumerate(P):
 
-    def objective(z):
-        z = z - z.max()
-        x = np.exp(z)
-        x = x / x.sum()
-        val = f.value(x)
-        if val <= 0:
-            return 1e30
-        return float(p @ x) / val
+        def objective(z):
+            x = _softmax(z)
+            val = f._values(x[None])[0]
+            if val <= 0:
+                return 1e30
+            return float(p @ x) / val
 
-    rng = np.random.default_rng(0)
-    starts = [np.log(grid[j]) for j in order[:n_starts]]
-    starts += [rng.normal(0.0, 2.0, size=d) for _ in range(max(1, n_starts // 2))]
-    for z0 in starts:
-        res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"fatol": 1e-13, "xatol": 1e-10, "maxiter": maxiter})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
+        minima, ends = [], []
+        for z0 in [logs[near[i, 0]], *randoms, *logs[near[i, 1:]]]:
+            res = minimize(objective, z0, method="Nelder-Mead",
+                           options={"fatol": _NM_FATOL, "xatol": 1e-10, "maxiter": maxiter})
+            minima.append(float(res.fun))
+            ends.append(res.x)
+            if len(minima) > 1:
+                lo, second = np.argsort(minima)[:2]
+                m = minima[lo]
+                if (minima[second] - m <= max(tol * abs(m), _NM_FATOL)
+                        and _settled(f, p, _softmax(ends[lo]), m, tol)):
+                    break
+        out[i] = min(ratios[i, near[i, 0]], *minima)
+    return out
 
 
-def _numeric_duals(f, P, resolution=None, n_starts=8, maxiter=500):
+def _numeric_duals(f, P, tol, resolution=None, n_starts=8, maxiter=500):
     """Numeric duals at the rows of ``P``: the tangency root of
-    ``_dual2_batch`` in d = 2, multi-start local descent row by row in
-    d >= 3 (``resolution``, ``n_starts`` and ``maxiter`` set its budget)."""
+    ``_dual2_batch`` in d = 2, local descents stopped on agreement within
+    ``tol`` in d >= 3 (``_dual_nd``; ``resolution``, ``n_starts`` and
+    ``maxiter`` set its largest budget)."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if f.dim == 2:
         return _dual2_batch(f, P)
-    return np.array([_dual_nd(f, p, resolution=resolution, n_starts=n_starts, maxiter=maxiter)
-                     for p in P])
+    return _dual_nd(f, P, tol, resolution, n_starts, maxiter)
 
 
 def dual_numeric(f, p, tol=DEFAULT.dual, resolution=None, n_starts=8, maxiter=500):
@@ -216,19 +273,19 @@ def dual_numeric(f, p, tol=DEFAULT.dual, resolution=None, n_starts=8, maxiter=50
 
     The ratio is scale-invariant, so the compact simplex suffices.  Sampling
     stays in the interior (liminf convention at the boundary); d = 2 refines
-    by the tangency root of ``_dual2_batch`` and d >= 3 by multi-start local
-    descent from the best points of a simplex grid of ``resolution``, with
-    ``n_starts`` starts of at most ``maxiter`` steps; nested duals
-    (dual-of-dual) pass a smaller budget to stay affordable.  The result is
-    an estimate, not a certified bound, and stays numeric for
-    piecewise-linear input (``dual_values`` takes the exact path).  ``tol``
-    must be positive and is recorded by ``NumericDualAntinorm``, but no
-    stopping rule reads it yet.
+    by the tangency root of ``_dual2_batch`` and d >= 3 by local descents
+    from a simplex grid of ``resolution`` (``_dual_nd``), which stop once
+    the two lowest agree within ``tol`` relative; ``n_starts`` sets the
+    largest budget, ``n_starts + max(1, n_starts // 2)`` descents of at
+    most ``maxiter`` steps, and nested duals (dual-of-dual) pass a smaller
+    one to stay affordable.  The result is an estimate, not a certified
+    bound, and stays numeric for piecewise-linear input (``dual_values``
+    takes the exact path).  ``tol`` must be positive.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = as_point(p, f.dim)
-    return float(_numeric_duals(f, q, resolution, n_starts, maxiter)[0])
+    return float(_numeric_duals(f, q, tol, resolution, n_starts, maxiter)[0])
 
 
 def dual_values(f, P):
@@ -238,7 +295,7 @@ def dual_values(f, P):
     pl = as_pl(f)
     if pl is not None and pl.dim <= 4:
         return dual_pl(pl)._values(P)
-    return _numeric_duals(f, P)
+    return _numeric_duals(f, P, DEFAULT.dual)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +332,9 @@ def double_dual_check(f, samples=40, seed=0):
 
     Piecewise-linear antinorms take the exact double-dual path; other
     antinorms evaluate two nested numeric duals, so the gap is limited by
-    the numeric dual tolerance.
+    the numeric dual tolerance.  The outer dual is one batched call on the
+    samples scaled to the unit simplex, so the grid values of the inner
+    dual f* are computed once.
     """
     rng = np.random.default_rng(seed)
     d = f.dim
@@ -285,22 +344,18 @@ def double_dual_check(f, samples=40, seed=0):
         X[np.nonzero(face)[0], rng.integers(0, d, size=face.sum())] = 0.0
     pl = as_pl(f)
     ones = np.ones(d)
-    gap = 0.0
     if pl is not None and pl.dim <= 4:
         fdd = dual_pl(dual_pl(pl))
+        gap = 0.0
         for x in X:
             gap = max(gap, abs(fdd.value(x) - continuous_extension_eval(pl, x, ones)))
         return DualReport(0.0, gap, samples, seed)
-    from .exprs import NumericDualAntinorm
-
     fstar = NumericDualAntinorm(f, tol=1e-9)
-    for x in X:
-        s = x.sum()
-        xs = x / s if s > 0 else x
-        fdd = dual_numeric(fstar, xs, tol=1e-7, resolution=12, n_starts=3)
-        fdd *= s if s > 0 else 1.0
-        F = continuous_extension_eval(f, x, ones)
-        gap = max(gap, abs(fdd - F))
+    s = X.sum(axis=1)
+    scale = np.where(s > 0, s, 1.0)
+    fdd = _numeric_duals(fstar, X / scale[:, None], 1e-7, resolution=12, n_starts=3) * scale
+    F = np.array([continuous_extension_eval(f, x, ones) for x in X])
+    gap = float(np.max(np.abs(fdd - F), initial=0.0))
     return DualReport(0.0, gap, samples, seed)
 
 

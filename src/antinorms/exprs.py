@@ -429,8 +429,10 @@ class NumericDualAntinorm(Antinorm):
 
     Evaluation runs the numeric dual of :mod:`antinorms.duality` (as
     ``dual_numeric`` does), also for piecewise-linear input; the instance
-    records the inner antinorm, the solver tolerance and the d >= 3 search
-    budget (simplex grid ``resolution``, ``n_starts`` and ``maxiter``).
+    records the inner antinorm, the tolerance ``tol`` within which two
+    d >= 3 descents must agree before the search stops, and that search's
+    largest budget (simplex grid ``resolution``, ``n_starts`` and
+    ``maxiter``).
     """
 
     def __init__(self, inner, tol=DEFAULT.dual, resolution=16, n_starts=2, maxiter=200):
@@ -446,7 +448,7 @@ class NumericDualAntinorm(Antinorm):
     def _values(self, X):
         from .duality import _numeric_duals  # deferred: duality imports exprs
 
-        return _numeric_duals(self.inner, X, self.resolution, self.n_starts, self.maxiter)
+        return _numeric_duals(self.inner, X, self.tol, self.resolution, self.n_starts, self.maxiter)
 
     def settings(self):
         return {"tol": self.tol, "resolution": self.resolution,

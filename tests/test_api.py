@@ -24,9 +24,6 @@ DEFAULTED = [
     "config.Tolerances.__init__(geometry)",
     "config.Tolerances.__init__(redundancy)",
     "config.Tolerances.__init__(vertex_dedupe)",
-    "duality._dual_nd(maxiter)",
-    "duality._dual_nd(n_starts)",
-    "duality._dual_nd(resolution)",
     "duality._numeric_duals(maxiter)",
     "duality._numeric_duals(n_starts)",
     "duality._numeric_duals(resolution)",

@@ -19,6 +19,7 @@ from antinorms import (
 )
 from antinorms import duality
 from antinorms.duality import _dual2_batch, dual_values
+from antinorms.exprs import continuous_extension_eval
 
 
 def test_dual_of_sum_is_min():
@@ -130,6 +131,69 @@ def test_double_dual_recovers_extension_of_discontinuous():
     val = dual_numeric(fstar, x, tol=1e-6, resolution=10, n_starts=2, maxiter=150) * 2.0
     assert val == pytest.approx(4.0, abs=1e-4)
     assert f.value([1.0, 1.0, 0.0]) == 2.0
+
+
+def test_dual_numeric_kinked_inputs_in_d3_and_d4():
+    # the ratio is quasiconvex but kinked here, and a single Nelder-Mead
+    # descent stalls short of the minimum at a few of these points
+    rng = np.random.default_rng(21)
+    for d in (3, 4):
+        P = rng.lognormal(0.0, 1.0, size=(20, d))
+        assert np.allclose([dual_numeric(catalog("min", dim=d), p) for p in P], P.sum(axis=1),
+                           rtol=1e-9, atol=0.0)
+        for _ in range(2):
+            f = PLAntinorm(rng.uniform(0.05, 2.0, size=(4, d)))
+            P = rng.lognormal(0.0, 1.0, size=(20, d))
+            assert np.allclose([dual_numeric(f, p) for p in P], dual_pl(f)._values(P),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_dual_numeric_does_not_stop_at_a_face_point_two_descents_share():
+    # the first two descents both end on the edge x2 = x4 = 0, where the
+    # ratio is flat in softmax coordinates, and agree 0.2% above f*(p)
+    f = PLAntinorm([[0.1104, 0.8244, 1.2176, 0.7692], [0.7344, 1.6403, 0.8786, 1.9179],
+                    [0.5546, 0.242, 0.9936, 1.472], [0.7338, 0.5263, 1.1458, 1.6508]])
+    p = [0.2898, 0.7408, 0.7464, 1.3331]
+    assert dual_numeric(f, p) == pytest.approx(dual_pl(f).value(p), rel=1e-9)
+
+
+def test_dual_numeric_d3_smooth_stops_after_two_descents(monkeypatch):
+    runs = []
+    minimize = duality.minimize
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "minimize", counted)
+    f = catalog("rootsum3")
+    for p in np.random.default_rng(3).lognormal(0.0, 1.0, size=(5, 3)):
+        runs.clear()
+        assert dual_numeric(f, p) == pytest.approx(1.0 / np.sum(1.0 / p), rel=1e-9)
+        assert len(runs) <= 2
+
+
+@pytest.mark.parametrize("f", [
+    catalog("rootsum3"),
+    ProductAntinorm([0.2, 0.3, 0.5]),
+    PLAntinorm([[1.0, 0.2, 0.5, 0.3], [0.3, 1.0, 0.1, 0.6], [0.4, 0.6, 1.0, 0.2]]),
+], ids=["rootsum3", "product3", "pl4"])
+def test_numeric_duals_batch_equals_rows_one_at_a_time(f):
+    P = np.random.default_rng(6).lognormal(0.0, 1.0, size=(6, f.dim))
+    one_by_one = [duality._numeric_duals(f, p, 1e-8)[0] for p in P]
+    assert np.array_equal(duality._numeric_duals(f, P, 1e-8), one_by_one)
+
+
+def test_double_dual_check_batch_equals_per_sample_loop():
+    f = catalog("sqrt2xy")
+    rng = np.random.default_rng(2)   # the samples double_dual_check draws for seed 2
+    X = rng.lognormal(0.0, 0.8, size=(15, 2))
+    face = rng.random(15) < 0.25
+    X[np.nonzero(face)[0], rng.integers(0, 2, size=face.sum())] = 0.0
+    fstar = NumericDualAntinorm(f, tol=1e-9)
+    gap = max(abs(dual_numeric(fstar, x / x.sum(), tol=1e-7, resolution=12, n_starts=3) * x.sum()
+                  - continuous_extension_eval(f, x, np.ones(2))) for x in X)
+    assert double_dual_check(f, samples=15, seed=2).max_reflexivity_gap == gap
 
 
 @pytest.mark.parametrize("f", [
