@@ -11,9 +11,9 @@ package.  Callers:
 * ``logit_points``: ``duality._dual2_batch``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
-* ``simplex_grid``: ``duality._dual_nd``, ``selfdual._probe_grid``,
-  ``dynamics.lsr_lower_certificate``, ``geometry.prune_positive_hull``
-  (the directions of its extreme-point certificate).
+* ``simplex_grid``, always in d >= 3: ``duality._dual_nd``,
+  ``selfdual._probe_grid``, ``dynamics.lsr_lower_certificate`` and
+  ``geometry._extreme_by_direction`` (``prune_positive_hull``'s certificate).
 * ``aitken_limit``: ``exprs.continuous_extension_eval``,
   ``dynamics.invariant_body_iterate``.
 """
@@ -98,20 +98,15 @@ def logit_points(t):
 
 def simplex_grid(d, n):
     """Lattice points of the unit simplex at resolution n, pushed interior."""
-    if d == 2:
-        t = np.linspace(0.0, 1.0, n + 1)
-        pts = np.stack([t, 1.0 - t], axis=1)
-    else:
-        pts = []
-        for bars in combinations(range(n + d - 1), d - 1):
-            prev, comp = -1, []
-            for b in bars:
-                comp.append(b - prev - 1)
-                prev = b
-            comp.append(n + d - 1 - prev - 1)
-            pts.append(comp)
-        pts = np.array(pts, dtype=float) / n
-    pts = np.maximum(pts, 1e-14)
+    pts = []
+    for bars in combinations(range(n + d - 1), d - 1):   # stars and bars
+        prev, comp = -1, []
+        for b in bars:
+            comp.append(b - prev - 1)
+            prev = b
+        comp.append(n + d - 1 - prev - 1)
+        pts.append(comp)
+    pts = np.maximum(np.array(pts, dtype=float) / n, 1e-14)
     return pts / pts.sum(axis=1, keepdims=True)
 
 

@@ -26,7 +26,7 @@ case of the Young-type inequality), found as a root (``_dual2_batch``).
 In d >= 3 the ratio is quasiconvex on the simplex as well, so a converged
 local descent reaches the minimum; Nelder-Mead descents from one shared
 simplex grid run until the two lowest agree within the tolerance
-(``_dual_nd``).
+(``_dual_nd``), within a largest budget the module picks, not the caller.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps samples interi
 _N_GRID = 1025        # coarse logit grid of the 2-d dual
 _ROOT_STEPS = 90      # step cap of the tangency root finder
 _NM_FATOL = 1e-13     # absolute value resolution of a d >= 3 Nelder-Mead descent
+# d >= 3 budgets (grid resolution, None: 64/24/16 by d; starts; steps per descent)
+_BUDGET = (None, 8, 500)          # the dual of an antinorm that is not a numeric dual
+_INNER_BUDGET = (16, 2, 200)      # the evaluation of a NumericDualAntinorm
+_NESTED_BUDGET = (10, 2, 150)     # the dual of a NumericDualAntinorm
 _EPS = np.finfo(float).eps
 
 
@@ -175,8 +179,8 @@ def _dual2_batch(f, P):
 
 def _softmax(z):
     """The point of the unit simplex with log-coordinates ``z`` up to a shift."""
-    x = np.exp(z - z.max())
-    return x / x.sum()
+    x = np.exp(z - np.maximum.reduce(z))
+    return x / np.add.reduce(x)
 
 
 def _settled(f, p, x, m, tol):
@@ -200,12 +204,13 @@ def _settled(f, p, x, m, tol):
     return np.min(p[pos] / g[pos]) >= m - (math.sqrt(tol) * abs(m) + _NM_FATOL)
 
 
-def _dual_nd(f, P, tol, resolution, n_starts, maxiter):
+def _dual_nd(f, P, tol, budget):
     """Duals in d >= 3 at the rows of ``P``: local descents on the simplex,
     stopped once the two lowest agree.
 
-    One simplex grid of ``resolution`` and its (rows x grid) ratio matrix
-    serve every row.  Nelder-Mead descents run in softmax coordinates,
+    ``budget`` is one of the module's ``(resolution, n_starts, maxiter)``
+    constants.  One simplex grid of ``resolution`` and its (rows x grid)
+    ratio matrix serve every row.  Nelder-Mead descents run in softmax coordinates,
     from the row's best grid point, then ``max(1, n_starts // 2)`` random
     starts (the same ``default_rng(0)`` draws for every row), then the next
     ``n_starts - 1`` grid points.  The ratio is quasiconvex, so a descent
@@ -213,14 +218,13 @@ def _dual_nd(f, P, tol, resolution, n_starts, maxiter):
     a row stops once its two lowest descent minima agree within ``tol``
     relative, or within the descents' own resolution ``_NM_FATOL`` for a
     value near zero (on a face only with a certificate, see ``_settled``),
-    and after all ``n_starts + max(1, n_starts // 2)`` descents at the
-    latest.  Its value is the smallest of the grid value and every
-    descent's minimum.
+    and after all ``n_starts + max(1, n_starts // 2)`` descents of at most
+    ``maxiter`` steps at the latest.  Its value is the smallest of the grid
+    value and every descent's minimum.
     """
     d = f.dim
-    if resolution is None:
-        resolution = {3: 64, 4: 24}.get(d, 16)
-    grid = simplex_grid(d, resolution)
+    resolution, n_starts, maxiter = budget
+    grid = simplex_grid(d, resolution or {3: 64, 4: 24}.get(d, 16))
     fv = f._values(grid)
     if np.all(fv <= 0):
         raise DegenerateBodyError("antinorm vanishes on the whole sample set")
@@ -257,35 +261,35 @@ def _dual_nd(f, P, tol, resolution, n_starts, maxiter):
     return out
 
 
-def _numeric_duals(f, P, tol, resolution=None, n_starts=8, maxiter=500):
+def _numeric_duals(f, P, tol):
     """Numeric duals at the rows of ``P``: the tangency root of
     ``_dual2_batch`` in d = 2, local descents stopped on agreement within
-    ``tol`` in d >= 3 (``_dual_nd``; ``resolution``, ``n_starts`` and
-    ``maxiter`` set its largest budget)."""
+    ``tol`` in d >= 3 (``_dual_nd``).  The d >= 3 budget follows from ``f``:
+    ``_NESTED_BUDGET`` when f is itself a ``NumericDualAntinorm``, whose
+    every value is a search of its own, ``_BUDGET`` otherwise."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if f.dim == 2:
         return _dual2_batch(f, P)
-    return _dual_nd(f, P, tol, resolution, n_starts, maxiter)
+    return _dual_nd(f, P, tol, _NESTED_BUDGET if isinstance(f, NumericDualAntinorm) else _BUDGET)
 
 
-def dual_numeric(f, p, tol=DEFAULT.dual, resolution=None, n_starts=8, maxiter=500):
+def dual_numeric(f, p, tol=DEFAULT.dual):
     """Numeric dual value  f*(p) = min over the unit simplex of <p,x>/f(x).
 
     The ratio is scale-invariant, so the compact simplex suffices.  Sampling
     stays in the interior (liminf convention at the boundary); d = 2 refines
     by the tangency root of ``_dual2_batch`` and d >= 3 by local descents
-    from a simplex grid of ``resolution`` (``_dual_nd``), which stop once
-    the two lowest agree within ``tol`` relative; ``n_starts`` sets the
-    largest budget, ``n_starts + max(1, n_starts // 2)`` descents of at
-    most ``maxiter`` steps, and nested duals (dual-of-dual) pass a smaller
-    one to stay affordable.  The result is an estimate, not a certified
+    from a simplex grid (``_dual_nd``), which stop once the two lowest
+    agree within ``tol`` relative.  The search budget is the program's
+    choice, a smaller one when f is itself a numeric dual
+    (``_numeric_duals``).  The result is an estimate, not a certified
     bound, and stays numeric for piecewise-linear input (``dual_values``
     takes the exact path).  ``tol`` must be positive.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = as_point(p, f.dim)
-    return float(_numeric_duals(f, q, tol, resolution, n_starts, maxiter)[0])
+    return float(_numeric_duals(f, q, tol)[0])
 
 
 def dual_values(f, P):
@@ -334,7 +338,8 @@ def double_dual_check(f, samples=40, seed=0):
     antinorms evaluate two nested numeric duals, so the gap is limited by
     the numeric dual tolerance.  The outer dual is one batched call on the
     samples scaled to the unit simplex, so the grid values of the inner
-    dual f* are computed once.
+    dual f* are computed once; its budget is the one ``_numeric_duals``
+    picks for the dual of a numeric dual.
     """
     rng = np.random.default_rng(seed)
     d = f.dim
@@ -353,7 +358,7 @@ def double_dual_check(f, samples=40, seed=0):
     fstar = NumericDualAntinorm(f, tol=1e-9)
     s = X.sum(axis=1)
     scale = np.where(s > 0, s, 1.0)
-    fdd = _numeric_duals(fstar, X / scale[:, None], 1e-7, resolution=12, n_starts=3) * scale
+    fdd = _numeric_duals(fstar, X / scale[:, None], 1e-7) * scale
     F = np.array([continuous_extension_eval(f, x, ones) for x in X])
     gap = float(np.max(np.abs(fdd - F), initial=0.0))
     return DualReport(0.0, gap, samples, seed)

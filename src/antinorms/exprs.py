@@ -173,9 +173,6 @@ class PLAntinorm(Antinorm):
         m = vals.min()
         return self.functionals[vals <= m + 1e-9 * (1.0 + abs(m))]
 
-    def canonical(self):
-        return canonicalize_pl(self)
-
     def __repr__(self):
         return f"PLAntinorm(dim={self.dim}, n={self.functionals.shape[0]})"
 
@@ -260,13 +257,14 @@ def _v_min_eps(X, params):
     return X.min(axis=1) + eps * np.sqrt(X[:, 0] * X[:, 1])
 
 
+# ufunc reductions called directly: nested duals evaluate these one point at a time
 def _v_rootsum3(X, params):
-    return np.square(np.sqrt(X).sum(axis=1))
+    return np.square(np.add.reduce(np.sqrt(X), axis=1))
 
 
 def _v_rootsum3_drop(X, params):
-    interior = np.all(X > 0, axis=1)
-    return np.where(interior, _v_rootsum3(X, params), X.sum(axis=1))
+    interior = np.logical_and.reduce(X > 0, axis=1)
+    return np.where(interior, _v_rootsum3(X, params), np.add.reduce(X, axis=1))
 
 
 def _v_circle_arc(X, params):
@@ -429,30 +427,28 @@ class NumericDualAntinorm(Antinorm):
 
     Evaluation runs the numeric dual of :mod:`antinorms.duality` (as
     ``dual_numeric`` does), also for piecewise-linear input; the instance
-    records the inner antinorm, the tolerance ``tol`` within which two
-    d >= 3 descents must agree before the search stops, and that search's
-    largest budget (simplex grid ``resolution``, ``n_starts`` and
-    ``maxiter``).
+    records the inner antinorm and the tolerance ``tol`` within which two
+    d >= 3 descents must agree before the search stops.  That search's
+    largest budget is the program's choice, ``duality._INNER_BUDGET``, a
+    smaller one than ``dual_numeric``'s since every value is a search.
     """
 
-    def __init__(self, inner, tol=DEFAULT.dual, resolution=16, n_starts=2, maxiter=200):
+    def __init__(self, inner, tol=DEFAULT.dual):
         if tol <= 0:
             raise ValueError("tol must be positive")
         self.inner = inner
         self.tol = float(tol)
-        self.resolution = int(resolution)
-        self.n_starts = int(n_starts)
-        self.maxiter = int(maxiter)
         self.dim = inner.dim
 
     def _values(self, X):
-        from .duality import _numeric_duals  # deferred: duality imports exprs
+        from .duality import _INNER_BUDGET, _dual2_batch, _dual_nd  # duality imports exprs
 
-        return _numeric_duals(self.inner, X, self.tol, self.resolution, self.n_starts, self.maxiter)
+        if self.dim == 2:
+            return _dual2_batch(self.inner, X)
+        return _dual_nd(self.inner, X, self.tol, _INNER_BUDGET)
 
     def settings(self):
-        return {"tol": self.tol, "resolution": self.resolution,
-                "n_starts": self.n_starts, "maxiter": self.maxiter}
+        return {"tol": self.tol}
 
     def __repr__(self):
         return f"NumericDualAntinorm({self.inner!r}, tol={self.tol})"

@@ -203,10 +203,6 @@ class ConicPolytope:
             return bool(np.all(self._halfspaces @ p >= 1.0 - 1e-9))
         return positive_hull_value(self._vertices, p) >= 1.0 - 1e-9
 
-    def support(self, x):
-        """min over the body of <x, .>, i.e. the dual antinorm at x."""
-        return float(np.min(self.vertices() @ np.asarray(x, dtype=float)))
-
     def canonical(self):
         """Same body with irredundant half-spaces and cached vertices."""
         V = self.vertices()

@@ -416,14 +416,17 @@ def contact_point(f):
 
 def _probe_grid(dim, n):
     """Deterministic interior probe points on the unit simplex: in d = 2
-    spread logarithmically toward the boundary, in d >= 3 the first n points
-    of the coarsest simplex lattice (resolution >= 2) that has n."""
+    spread logarithmically toward the boundary, in d >= 3 the first n
+    interior points (every coordinate >= 1/res) of the coarsest simplex
+    lattice whose interior has n.  Lattice points on a face would probe
+    where f and f* are both near 0 and an absolute deviation says nothing."""
     if dim == 2:
         return logit_points(np.linspace(-14.0, 14.0, n))
-    res = 2
-    while math.comb(res + dim - 1, dim - 1) < n:   # points of simplex_grid(dim, res)
+    res = dim
+    while math.comb(res - 1, dim - 1) < n:   # interior points of simplex_grid(dim, res)
         res += 1
-    return simplex_grid(dim, res)[:n]
+    G = simplex_grid(dim, res)
+    return G[G.min(axis=1) * res > 0.5][:n]
 
 
 def is_selfdual(f, tol=1e-7, n_grid=1000):

@@ -24,14 +24,8 @@ DEFAULTED = [
     "config.Tolerances.__init__(geometry)",
     "config.Tolerances.__init__(redundancy)",
     "config.Tolerances.__init__(vertex_dedupe)",
-    "duality._numeric_duals(maxiter)",
-    "duality._numeric_duals(n_starts)",
-    "duality._numeric_duals(resolution)",
     "duality.double_dual_check(samples)",
     "duality.double_dual_check(seed)",
-    "duality.dual_numeric(maxiter)",
-    "duality.dual_numeric(n_starts)",
-    "duality.dual_numeric(resolution)",
     "duality.dual_numeric(tol)",
     "duality.duality_discontinuity_demo(seed)",
     "duality.young_check(dual)",
@@ -57,9 +51,6 @@ DEFAULTED = [
     "exprs.CallableAntinorm.__init__(name)",
     "exprs.ConeSplitAntinorm.__init__(grid_n)",
     "exprs.ConeSplitAntinorm.__init__(side)",
-    "exprs.NumericDualAntinorm.__init__(maxiter)",
-    "exprs.NumericDualAntinorm.__init__(n_starts)",
-    "exprs.NumericDualAntinorm.__init__(resolution)",
     "exprs.NumericDualAntinorm.__init__(tol)",
     "exprs.PLAntinorm.__init__(dim)",
     "exprs.ProductAntinorm.__init__(scale)",

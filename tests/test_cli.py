@@ -247,14 +247,15 @@ def test_schema_invalid_input_exit_2(files, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_removed_numeric_dual_setting_exit_2(files, capsys):
+@pytest.mark.parametrize("setting", ["n_coarse", "resolution", "n_starts", "maxiter"])
+def test_removed_numeric_dual_setting_exit_2(files, capsys, setting):
     _, write = files
     inner = expr_to_dict(catalog("sqrt2xy"))
     f = write("nd.json", {"type": "numeric_dual", "inner": inner,
-                          "settings": {"tol": 1e-9, "n_coarse": 257}})
+                          "settings": {"tol": 1e-9, setting: 257}})
     assert main(["dual", "--input", f, "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "n_coarse" in err and "Traceback" not in err
+    assert setting in err and "Traceback" not in err
 
 
 def test_manifest_records_parsed_argv_and_svg_digest(files):

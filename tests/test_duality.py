@@ -126,9 +126,9 @@ def test_double_dual_smooth():
 def test_double_dual_recovers_extension_of_discontinuous():
     # f**(1,1,0) equals the extension value 4, not f(1,1,0) = 2
     f = catalog("rootsum3_drop")
-    fstar = NumericDualAntinorm(f, tol=1e-8, resolution=16, n_starts=2, maxiter=150)
+    fstar = NumericDualAntinorm(f, tol=1e-8)
     x = np.array([0.5, 0.5, 0.0])  # scaled copy of (1,1,0)
-    val = dual_numeric(fstar, x, tol=1e-6, resolution=10, n_starts=2, maxiter=150) * 2.0
+    val = dual_numeric(fstar, x, tol=1e-6) * 2.0
     assert val == pytest.approx(4.0, abs=1e-4)
     assert f.value([1.0, 1.0, 0.0]) == 2.0
 
@@ -191,7 +191,7 @@ def test_double_dual_check_batch_equals_per_sample_loop():
     face = rng.random(15) < 0.25
     X[np.nonzero(face)[0], rng.integers(0, 2, size=face.sum())] = 0.0
     fstar = NumericDualAntinorm(f, tol=1e-9)
-    gap = max(abs(dual_numeric(fstar, x / x.sum(), tol=1e-7, resolution=12, n_starts=3) * x.sum()
+    gap = max(abs(dual_numeric(fstar, x / x.sum(), tol=1e-7) * x.sum()
                   - continuous_extension_eval(f, x, np.ones(2))) for x in X)
     assert double_dual_check(f, samples=15, seed=2).max_reflexivity_gap == gap
 

@@ -437,3 +437,28 @@ def test_body_iterate_prunes_once_per_iteration(monkeypatch):
         calls.clear()
         res = invariant_body_iterate(fam, SIMPLEX, iters=6)
         assert len(calls) == res.iterations == 6
+
+
+@pytest.mark.parametrize("f", [catalog("sqrt2xy"), ProductAntinorm([0.3, 0.7]),
+                               catalog("circle_arc")], ids=["sqrt2xy", "product", "circle_arc"])
+def test_lower_certificate_2d_refines_to_the_ratio_minimum(f, monkeypatch):
+    # a smooth ratio with an interior minimum, which the 4097-point grid
+    # misses and the root of its slope finds
+    from antinorms import dynamics
+    from antinorms._search import logit_points
+
+    roots = []
+    bracket_root = dynamics.bracket_root
+
+    def counted(*args, **kwargs):
+        roots.append(1)
+        return bracket_root(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "bracket_root", counted)
+    fam = MatrixFamily(np.random.default_rng(0).uniform(0.1, 1.0, (2, 2, 2)))
+    gamma = lsr_lower_certificate(fam, f)
+    assert roots
+    X = logit_points(np.linspace(-16.0, 16.0, 2_000_001))
+    fine = np.min(np.min(np.stack([f._values(X @ A.T) for A in fam.matrices]), axis=0)
+                  / f._values(X))
+    assert fine * (1.0 - 1e-11) <= gamma <= fine

@@ -218,3 +218,20 @@ def test_prune_matches_sequential_lp_reference():
                        lam * pick() + (1.0 - lam) * pick()])      # on a face
         X = X[rng.permutation(len(X))]
         assert prune_positive_hull(X).tobytes() == _prune_reference(X).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_body_from_vertices_halfspaces_round_trip(d):
+    # six extreme points on the surface prod x = 1, and three points inside
+    # the body that pruning drops
+    rng = np.random.default_rng(4 + d)
+    for _ in range(3):
+        Z = rng.normal(0.0, 0.7, size=(6, d))
+        Z -= Z.mean(axis=1, keepdims=True)
+        G = ConicPolytope.from_vertices(np.vstack([np.exp(Z), rng.uniform(1.5, 3.0, size=(3, d))]))
+        V = G.vertices()
+        H = G.halfspaces
+        assert len(V) == 6
+        assert np.allclose((H @ V.T).min(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        W = ConicPolytope.from_halfspaces(H).vertices()
+        assert W.shape == V.shape and np.allclose(W, V, rtol=0.0, atol=1e-10)

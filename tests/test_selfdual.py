@@ -121,6 +121,17 @@ def test_is_selfdual_products():
     assert ok and dev <= 1e-9
 
 
+def test_is_selfdual_d3_probes_catch_a_scaled_product():
+    # 1% off the self-dual scale; probes on a face of the simplex, where f
+    # and f* are near 0, would read this self-dual
+    w = [0.6, 0.2, 0.2]
+    c = ProductAntinorm.selfdual(w).scale
+    ok, dev = is_selfdual(ProductAntinorm(w, scale=1.01 * c), n_grid=2)
+    assert not ok and dev > 1e-3
+    ok, dev = is_selfdual(ProductAntinorm(w, scale=c), n_grid=2)
+    assert ok and dev <= 1e-12
+
+
 def test_is_selfdual_sum_fails_near_axis():
     ok, dev = is_selfdual(catalog("sum", dim=2), 1e-7)
     assert not ok
@@ -256,11 +267,14 @@ def test_probe_grid_matches_growing_search():
     from antinorms._search import simplex_grid
     from antinorms.selfdual import _probe_grid
 
-    def grown(dim, n):   # try resolutions 2, 3, ... until one has n points
+    def grown(dim, n):   # try resolutions 2, 3, ... until one has n interior points
         res = 2
-        while len(simplex_grid(dim, res)) < n:
+        while True:
+            G = simplex_grid(dim, res)
+            inner = G[np.all(np.rint(G * res) >= 1, axis=1)]   # every coordinate >= 1/res
+            if len(inner) >= n:
+                return inner[:n]
             res += 1
-        return simplex_grid(dim, res)[:n]
 
     for dim in (3, 4, 5):
         for n in [*range(1, 201), 1000]:

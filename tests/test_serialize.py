@@ -61,6 +61,13 @@ def test_numeric_dual_roundtrip():
     assert expr_to_dict(expr_from_dict(d)) == d
 
 
+def test_numeric_dual_file_carries_only_tol():
+    from antinorms import NumericDualAntinorm
+
+    d = expr_to_dict(NumericDualAntinorm(catalog("rootsum3"), tol=1e-9))
+    assert d["settings"] == {"tol": 1e-9}
+
+
 def test_cone_split_roundtrip():
     apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
     f = construct1(catalog("sqrt2xy"), apex, grid_n=1024, verify=False)
