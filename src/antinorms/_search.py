@@ -1,4 +1,4 @@
-"""One-dimensional search primitives shared by the numeric layers.
+"""Search primitives shared by the numeric layers.
 
 Each primitive has its only copy here; the module imports nothing from the
 package.  Callers:
@@ -16,6 +16,15 @@ package.  Callers:
   ``geometry._extreme_by_direction`` (``prune_positive_hull``'s certificate).
 * ``aitken_limit``: ``exprs.continuous_extension_eval``,
   ``dynamics.invariant_body_iterate``.
+* ``linprog``, ``minimize`` and ``brentq`` forward to ``scipy.optimize``.
+  ``linprog``: ``exprs._dominated_by_hull``, ``geometry._lp_redundant``,
+  ``geometry.positive_hull_value``; ``minimize``: ``duality._dual_nd``;
+  ``brentq``: ``trig._SmoothBoundary.point_at``, ``trig.TrigContext.point_at``.
+
+These three are the package's only import of scipy, made on the first call:
+``scipy.optimize`` takes about 0.6 s to import, longer than most CLI
+commands run, and most commands never call it.  Callers bind them under the
+scipy names, which keeps ``exprs.linprog`` and the like patchable.
 """
 
 from __future__ import annotations
@@ -127,3 +136,18 @@ def aitken_limit(seq):
         nxt[ok] = v[2:][ok] - (v[2:][ok] - v[1:-1][ok]) ** 2 / d2[ok]
         v = nxt
     return float(v[-1])
+
+
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)

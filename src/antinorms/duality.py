@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._report import Report
-from ._search import bracket_root, logit_points, simplex_grid
+from ._search import bracket_root, logit_points, minimize, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 from .exprs import (

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._search import aitken_limit, bracket_root
+from ._search import aitken_limit, bracket_root, linprog
 from .config import DEFAULT
 from .errors import DimensionMismatchError, NegativeCoordinateError
 from .geometry import _prune_2d

@@ -29,9 +29,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._search import simplex_grid
+from ._search import linprog, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 

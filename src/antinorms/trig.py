@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
+from ._search import brentq
 from .errors import DimensionMismatchError, ThetaRangeError
 from .exprs import PLAntinorm, as_pl, as_point
 from .geometry import ConicPolytope
