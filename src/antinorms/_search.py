@@ -3,12 +3,13 @@
 Each primitive has its only copy here; the module imports nothing from the
 package.  Callers:
 
-* ``bracket_root``: ``duality._dual2_batch`` (tangency p || grad f, the
-  2-d numeric dual behind ``duality.dual_values`` and ``dual_numeric``),
-  ``exprs.ConeSplitAntinorm`` (tangency of x to the K1 antisphere),
+* ``bracket_root``: ``exprs._Arc.support`` (tangency p || grad f on a 2-d
+  antisphere; the one search behind the 2-d numeric dual
+  ``duality._dual2_batch``, the supergradients of 2-d
+  ``exprs.NumericDualAntinorm`` and ``exprs.ConeSplitAntinorm``),
   ``selfdual.closest_antisphere_point`` (stationary radius) and
   ``dynamics.lsr_lower_certificate`` (stationary ratio).
-* ``logit_points``: ``duality._dual2_batch``, ``selfdual._probe_grid``,
+* ``logit_points``: ``exprs._Arc``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
 * ``simplex_grid``, always in d >= 3: ``duality._dual_nd``,

@@ -22,8 +22,9 @@ restricting samples to the interior; that realizes the liminf convention
 for boundary ratios and makes the dual of a discontinuous antinorm agree
 with the dual of its continuous extension.  In d = 2 the minimum is the
 tangency point where p is parallel to a supergradient of f (the equality
-case of the Young-type inequality), found as a root (``_dual2_batch``).
-In d >= 3 the ratio is quasiconvex on the simplex as well, so a converged
+case of the Young-type inequality), found as a root in a table of the
+antisphere of f (``_dual2_batch``, the search the cone split shares).  In
+d >= 3 the ratio is quasiconvex on the simplex as well, so a converged
 local descent reaches the minimum; Nelder-Mead descents from one shared
 simplex grid run until the two lowest agree within the tolerance
 (``_dual_nd``), within a largest budget the module picks, not the caller.
@@ -37,13 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import Report
-from ._search import bracket_root, logit_points, minimize, simplex_grid
+from ._search import minimize, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 from .exprs import (
+    _DUAL_U,
     BuiltinAntinorm,
     NumericDualAntinorm,
     PLAntinorm,
+    _Arc,
     as_point,
     as_pl,
     canonicalize_pl,
@@ -99,81 +102,28 @@ def dual_pl(f):
 # numeric dual
 # ---------------------------------------------------------------------------
 
-_UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps samples interior
-_N_GRID = 1025        # coarse logit grid of the 2-d dual
-_ROOT_STEPS = 90      # step cap of the tangency root finder
 _NM_FATOL = 1e-13     # absolute value resolution of a d >= 3 Nelder-Mead descent
 # d >= 3 budgets (grid resolution, None: 64/24/16 by d; starts; steps per descent)
 _BUDGET = (None, 8, 500)          # the dual of an antinorm that is not a numeric dual
 _INNER_BUDGET = (16, 2, 200)      # the evaluation of a NumericDualAntinorm
 _NESTED_BUDGET = (10, 2, 150)     # the dual of a NumericDualAntinorm
-_EPS = np.finfo(float).eps
-
-
-def _ratio_2d(f, P, u):
-    """Objective <p, x(u)>/f(x(u)) for each (row of P, entry of u) pair."""
-    X = logit_points(u)
-    fv = f._values(X.reshape(-1, 2)).reshape(u.shape)
-    num = (P * X).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(fv > 0, num / np.where(fv > 0, fv, 1.0), np.inf)
-    return r
 
 
 def _dual2_batch(f, P):
-    """Vectorized 2-d duals: a tangency root on the logit of the simplex.
+    """Vectorized 2-d duals: one support query on the antisphere of f.
 
-    The ratio <p,x>/f(x) is quasiconvex on the simplex (its sublevel sets
-    are sublevel sets of the convex function <p,x> - c f(x)), so a bracket
-    around the coarse-grid minimizer contains the global minimum.  Along
-    x(u) = (s, 1 - s), s = 1/(1 + e^-u), the ratio's slope has the sign of
-    (p0 - p1) f(x) - <p, x> (g0 - g1) for a supergradient g, which by
-    Euler's <g, x> = f(x) is p0 g1 - p1 g0: the minimum is where p is
-    parallel to g.  ``bracket_root`` closes the bracket onto that sign
-    change, within at most ``_ROOT_STEPS`` steps; at a kink it closes onto the
-    jump.  Rows whose bracket is flat to rounding are settled at once, and
-    every returned value is the ratio at a point, the smaller of the grid
-    value and the value at the root.  The logit parametrization keeps
-    boundary minimizers (e.g. for piecewise-linear duals vanishing on an
-    axis) resolvable.
+    f*(p) = min over x of <p,x>/f(x) = min over the antisphere {f = 1} of
+    <p, s>, attained where p is parallel to a supergradient of f (the
+    equality case of the Young-type inequality).  The arc is ``_Arc`` on
+    1025 logit points over u in [-45, 45]; its query finds the cell where
+    the normal turns past p and closes it onto the tangency, at a kink onto
+    the jump.  Every returned value is <p, s> at an arc point, the smaller
+    of the cell ends' and the root's.  The logit grid keeps boundary
+    minimizers (e.g. for piecewise-linear duals vanishing on an axis)
+    resolvable.  It stays a function of its own because
+    ``bench/trace_layers.py`` counts its calls and rows.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    u = np.linspace(-_UMAX, _UMAX, _N_GRID)
-    X = logit_points(u)
-    fv = f._values(X)
-    if np.all(fv <= 0):
-        raise DegenerateBodyError("antinorm vanishes on the whole sample set")
-    ratios = np.where(fv > 0, (P @ X.T) / np.where(fv > 0, fv, 1.0), np.inf)
-    rows = np.arange(P.shape[0])
-    idx = np.argmin(ratios, axis=1)
-    best = ratios[rows, idx]
-    i_lo = np.maximum(idx - 1, 0)
-    i_hi = np.minimum(idx + 1, _N_GRID - 1)
-    # a convex <p,x> - c f(x) cannot dip below its value where it is flat
-    flat = np.maximum(ratios[rows, i_lo], ratios[rows, i_hi]) <= best * (1.0 + 8.0 * _EPS)
-    k = np.nonzero(~flat)[0]
-    if k.size == 0:
-        return best
-    ends = np.unique(np.concatenate([i_lo[k], i_hi[k]]))
-    G = np.zeros((_N_GRID, 2))
-    Pk = P[k] / np.hypot(P[k, 0], P[k, 1])[:, None]
-
-    def sine(Pr, g):
-        """sin of the angle from p to g; its rounding floor is a few ulps."""
-        return (Pr[:, 0] * g[:, 1] - Pr[:, 1] * g[:, 0]) / np.hypot(g[:, 0], g[:, 1])
-
-    with np.errstate(divide="ignore", invalid="ignore"):   # a NaN end leaves its row as is
-        G[ends] = f._grads(X[ends])
-        h_lo, h_hi = sine(Pk, G[i_lo[k]]), sine(Pk, G[i_hi[k]])
-    live = (h_lo < 0) & (h_hi > 0)
-    k, Pk = k[live], Pk[live]
-    if k.size == 0:
-        return best
-    a, b = bracket_root(lambda t, r: sine(Pk[r], f._grads(logit_points(t))),
-                        u[i_lo[k]], u[i_hi[k]], h_lo[live], h_hi[live], _ROOT_STEPS,
-                        ftol=16 * _EPS)
-    best[k] = np.minimum(best[k], _ratio_2d(f, P[k], 0.5 * (a + b)))
-    return best
+    return _Arc(f, _DUAL_U).support(np.atleast_2d(np.asarray(P, dtype=float)))[0]
 
 
 def _softmax(z):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import aitken_limit, bracket_root, linprog
+from ._search import aitken_limit, bracket_root, linprog, logit_points
 from .config import DEFAULT
-from .errors import DimensionMismatchError, NegativeCoordinateError
+from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
 from .geometry import _prune_2d
 
 __all__ = [
@@ -418,6 +418,90 @@ def symmetrize(f, p):
 
 
 # ---------------------------------------------------------------------------
+# 2-d antisphere arcs: the tangency search behind duals and cone splits
+# ---------------------------------------------------------------------------
+
+_UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps arc points interior
+_DUAL_U = np.linspace(-_UMAX, _UMAX, 1025)   # logit grid of the 2-d dual's arc
+_DUAL_U.setflags(write=False)
+_ROOT_STEPS = 64      # step cap of the tangency root
+
+
+def _unit_rows(G):
+    return G / np.maximum(np.hypot(G[:, 0], G[:, 1]), 1e-300)[:, None]
+
+
+def _sine(Q, N):
+    """sin of the angle from the unit rows Q to the unit rows N; its
+    rounding floor is a few ulps."""
+    return Q[:, 0] * N[:, 1] - Q[:, 1] * N[:, 0]
+
+
+class _Arc:
+    """The antisphere {f = 1} of a 2-d antinorm over an ascending logit grid.
+
+    At x(u) = (s, 1 - s), s = 1/(1 + e^-u), for each ``u`` where f(x) > 0 it
+    keeps the arc point x/f(x), the unit normal grad f/|grad f| (bounded
+    where grad f is not, near an axis) and the normal's angle.  Along a
+    concave arc the normal turns from OX toward OY as u rises; a running
+    maximum keeps the angles sorted where rounding would not.
+    """
+
+    def __init__(self, f, u):
+        X = logit_points(u)
+        v = f._values(X)
+        keep = v > 0
+        if not np.any(keep):
+            raise DegenerateBodyError("antinorm vanishes on the whole sample set")
+        self.f = f
+        self.u = u[keep]
+        self.points = X[keep] / v[keep, None]
+        with np.errstate(divide="ignore", invalid="ignore"):   # a NaN normal is never live
+            self.normals = _unit_rows(f._grads(X[keep]))
+        self.angles = np.fmax.accumulate(np.arctan2(self.normals[:, 1], self.normals[:, 0]))
+
+    def support(self, P):
+        """min over the arc of <p, s> per row of P, and the attaining points s.
+
+        <p, s(u)> falls while the normal at s(u) is short of the direction
+        of p and rises after it, so the minimum sits in the cell of the
+        table where the angle of p falls, or at the arc's end when it falls
+        outside; where a run of table angles equals it, at an end of the
+        run.  Where sin(p, n) changes sign across the cell,
+        ``bracket_root`` closes it onto the tangency p || grad f, at a kink
+        onto the jump.  The value is the smaller of the cell ends' and the
+        root's.  The attaining point is a supergradient of the support
+        function p -> min <p, s> (Danskin).
+        """
+        angle = np.arctan2(P[:, 1], P[:, 0])
+        j = np.searchsorted(self.angles, angle)
+        k = np.searchsorted(self.angles, angle, side="right")
+        # the cell's ends and those of a run of normals at the angle of p, a
+        # flat piece or normals that round to an axis next to the arc's end
+        ends = np.clip(np.stack([j - 1, j, k - 1, k], axis=1), 0, len(self.u) - 1)
+        best = np.argmin(np.einsum("ikj,ij->ik", self.points[ends], P), axis=1)
+        S = self.points[ends[np.arange(len(P)), best]]
+        lo, hi = ends[:, 0], ends[:, 1]
+        Q = _unit_rows(P)
+        h_lo, h_hi = _sine(Q, self.normals[lo]), _sine(Q, self.normals[hi])
+        live = np.nonzero((h_lo < 0) & (h_hi > 0))[0]
+        if live.size:
+            QL, PL = Q[live], P[live]
+
+            def tangency(t, rows):
+                return _sine(QL[rows], _unit_rows(self.f._grads(logit_points(t))))
+
+            with np.errstate(divide="ignore", invalid="ignore"):   # a NaN row stops as is
+                a, b = bracket_root(tangency, self.u[lo[live]], self.u[hi[live]], h_lo[live],
+                                    h_hi[live], _ROOT_STEPS, ftol=4 * np.finfo(float).eps)
+                X = logit_points(0.5 * (a + b))
+                T = X / self.f._values(X)[:, None]
+            better = np.einsum("ij,ij->i", T, PL) < np.einsum("ij,ij->i", S[live], PL)
+            S[live[better]] = T[better]
+        return np.einsum("ij,ij->i", S, P), S
+
+
+# ---------------------------------------------------------------------------
 # numeric dual as an expression
 # ---------------------------------------------------------------------------
 
@@ -430,6 +514,8 @@ class NumericDualAntinorm(Antinorm):
     d >= 3 descents must agree before the search stops.  That search's
     largest budget is the program's choice, ``duality._INNER_BUDGET``, a
     smaller one than ``dual_numeric``'s since every value is a search.
+    In d = 2 the supergradient at p is the inner antisphere point that
+    attains f*(p) (Danskin); in d >= 3 it is the base class's estimate.
     """
 
     def __init__(self, inner, tol=DEFAULT.dual):
@@ -446,6 +532,11 @@ class NumericDualAntinorm(Antinorm):
             return _dual2_batch(self.inner, X)
         return _dual_nd(self.inner, X, self.tol, _INNER_BUDGET)
 
+    def _grads(self, X):
+        if self.dim == 2:
+            return _Arc(self.inner, _DUAL_U).support(X)[1]
+        return super()._grads(X)
+
     def settings(self):
         return {"tol": self.tol}
 
@@ -457,22 +548,18 @@ class NumericDualAntinorm(Antinorm):
 # cone-split antinorm (piece + restricted dual of the piece)
 # ---------------------------------------------------------------------------
 
-def _unit_rows(G):
-    return G / np.maximum(np.hypot(G[:, 0], G[:, 1]), 1e-300)[:, None]
-
-
 class ConeSplitAntinorm(Antinorm):
     """2-D antinorm equal to ``f1`` on one subcone of R^2_+ and to the
     restricted dual of ``f1`` on the complementary subcone.
 
     The ray through ``apex`` (a unit vector) splits the orthant into K1 and
     K2.  On K2 the value is  min over the K1 antisphere of <s, x>, attained
-    where x is parallel to grad f1(s) (clipped to the arc's ends).  A table
-    of ``grid_n`` arc points keeps the angles of grad f1, which fall along
-    the arc; a binary search over it finds the cell holding that tangency
-    and ``bracket_root`` closes the cell onto it, so each value is accurate
-    to the smoothness of f1 rather than to the table spacing.  The
-    attaining arc point is the supergradient on K2 (Danskin).
+    where x is parallel to grad f1(s) (clipped to the arc's ends).  The K1
+    arc is one ``_Arc`` of ``grid_n`` points, evenly spaced in the logit of
+    K1 (from the apex ray to +-45, next to the axis); its support query
+    finds the table cell holding that tangency and closes it, so each value
+    is accurate to the smoothness of f1 rather than to the table spacing.
+    The attaining arc point is the supergradient on K2 (Danskin).
     """
 
     def __init__(self, f1, apex, side="upper", grid_n=20000):
@@ -489,64 +576,15 @@ class ConeSplitAntinorm(Antinorm):
         self.side = side
         self.grid_n = int(grid_n)
         self.dim = 2
-        phi_a = math.atan2(a[1], a[0])
-        if side == "upper":
-            lo, hi = phi_a, math.pi / 2
-        else:
-            lo, hi = 0.0, phi_a
-        # open the interval slightly at an end where f1 vanishes: the
-        # support minimum never sits there (those antisphere points escape
-        # to infinity), so clipping it is harmless; an end where f1 is
-        # positive stays, as K2 points near the axis touch the arc there
-        ends = f1._values(np.array([[math.cos(lo), math.sin(lo)], [math.cos(hi), math.sin(hi)]]))
-        pad = (hi - lo) * 1e-9 * (ends <= 1e-15)
-        phis = np.linspace(lo + pad[0], hi - pad[1], self.grid_n)
-        U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        vals = f1._values(U)
-        keep = vals > 1e-15
-        self._phis = phis[keep]
-        self._table = U[keep] / vals[keep, None]
-        self._normals = _unit_rows(f1._grads(U[keep]))
-        # grad f1 turns clockwise along a concave arc; the running minimum
-        # keeps the angles sorted where rounding would not
-        angles = np.arctan2(self._normals[:, 1], self._normals[:, 0])
-        self._angles = -np.minimum.accumulate(angles)
+        # x(u) is on the apex ray at u = ln(a0/a1); K1 lies below it when upper
+        with np.errstate(divide="ignore"):
+            u_a = float(np.clip(np.log(a[0]) - np.log(a[1]), -_UMAX, _UMAX))
+        lo, hi = (-_UMAX, u_a) if side == "upper" else (u_a, _UMAX)
+        self._arc = _Arc(f1, np.linspace(lo, hi, self.grid_n))
 
     def _in_k1(self, X):
         cross = self.apex[0] * X[:, 1] - self.apex[1] * X[:, 0]
         return cross >= 0 if self.side == "upper" else cross <= 0
-
-    def _support(self, X):
-        """min over the K1 arc of <s, x> per row of X, and the arc points s."""
-        n = len(self._phis)
-        j = np.searchsorted(self._angles, -np.arctan2(X[:, 1], X[:, 0]))
-        lo, hi = np.maximum(j - 1, 0), np.minimum(j, n - 1)
-        # <s', x> has the sign of n(s) x x, n the unit normal grad f1/|grad f1|;
-        # it rises through 0 at the tangency, and unlike grad f1 it stays
-        # bounded where the arc meets an axis
-        c_lo = np.einsum("ij,ij->i", self._normals[lo], X[:, ::-1] * [1.0, -1.0])
-        c_hi = np.einsum("ij,ij->i", self._normals[hi], X[:, ::-1] * [1.0, -1.0])
-        S = np.where((np.einsum("ij,ij->i", self._table[lo], X)
-                      <= np.einsum("ij,ij->i", self._table[hi], X))[:, None],
-                     self._table[lo], self._table[hi])
-        live = np.nonzero((c_lo < 0) & (c_hi > 0))[0]
-        if live.size:
-            XL = X[live]
-
-            def tangency(phi, rows):
-                U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-                N = _unit_rows(self.f1._grads(U))
-                return N[:, 0] * XL[rows, 1] - N[:, 1] * XL[rows, 0]
-
-            a, b = bracket_root(tangency, self._phis[lo[live]], self._phis[hi[live]],
-                                c_lo[live], c_hi[live], 64,
-                                ftol=4 * np.finfo(float).eps * np.hypot(XL[:, 0], XL[:, 1]))
-            phi = 0.5 * (a + b)
-            U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-            T = U / np.maximum(self.f1._values(U), 1e-300)[:, None]
-            better = np.einsum("ij,ij->i", T, XL) < np.einsum("ij,ij->i", S[live], XL)
-            S[live[better]] = T[better]
-        return np.einsum("ij,ij->i", S, X), S
 
     def _values(self, X):
         mask = self._in_k1(X)
@@ -554,7 +592,7 @@ class ConeSplitAntinorm(Antinorm):
         if np.any(mask):
             out[mask] = self.f1._values(X[mask])
         if np.any(~mask):
-            out[~mask] = self._support(X[~mask])[0]
+            out[~mask] = self._arc.support(X[~mask])[0]
         return out
 
     def _grads(self, X):
@@ -563,7 +601,7 @@ class ConeSplitAntinorm(Antinorm):
         if np.any(mask):
             G[mask] = self.f1._grads(X[mask])
         if np.any(~mask):
-            G[~mask] = self._support(X[~mask])[1]
+            G[~mask] = self._arc.support(X[~mask])[1]
         return G
 
     def __repr__(self):

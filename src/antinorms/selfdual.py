@@ -332,55 +332,50 @@ def closest_antisphere_point(f):
 
     Returns ``(point, second_distance)`` where ``second_distance`` is the
     nearest candidate distance outside a small cluster around the winner
-    (infinity if there is none).  Works for any antinorm; self-duality is
-    not assumed here.  A non-PL 2-d antinorm is sampled in 4097 directions,
+    (infinity if there is none).  Works for any 2-d antinorm; self-duality
+    is not assumed here.  A non-PL antinorm is sampled in 4097 directions,
     and each local minimum of the radius is closed onto the sign change of
-    <grad f(u), u'> next to it.
+    <grad f(u), u'> next to it.  In d >= 3 it raises
+    ``DimensionMismatchError``: no search there finds the point to the
+    1e-9 that ``contact_point`` asks for.
     """
-    if f.dim == 2:
-        pl = as_pl(f)
-        if pl is not None:
-            cands = _pl_boundary_candidates(pl)
-        else:
-            phis = np.linspace(1e-7, math.pi / 2 - 1e-7, 4097)
-            U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-            vals = f._values(U)
-            with np.errstate(divide="ignore"):
-                r = np.where(vals > 1e-15, 1.0 / np.where(vals > 1e-15, vals, 1.0), np.inf)
-            interior_min = (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:]) & np.isfinite(r[1:-1])
-            minima = list(np.nonzero(interior_min)[0] + 1)
-            if np.isfinite(r[0]) and r[0] <= r[1]:
-                minima.append(0)
-            if np.isfinite(r[-1]) and r[-1] <= r[-2]:
-                minima.append(len(r) - 1)
-
-            # the radius is least where <grad f(u), u'> falls through 0; over
-            # |grad f| it is a sine, whose rounding floor is a few ulps
-            def slope(t, rows):
-                U = np.stack([np.cos(t), np.sin(t)], axis=1)
-                G = f._grads(U)
-                return (G[:, 1] * U[:, 0] - G[:, 0] * U[:, 1]) / np.hypot(G[:, 0], G[:, 1])
-
-            minima = np.array(minima, dtype=int)
-            lo = phis[np.maximum(minima - 1, 0)]
-            hi = phis[np.minimum(minima + 1, len(phis) - 1)]
-            s_lo, s_hi = slope(lo, None), slope(hi, None)
-            live = (s_lo > 0) & (s_hi < 0)
-            t = phis[minima]
-            if np.any(live):
-                a, b = bracket_root(slope, lo[live], hi[live], s_lo[live], s_hi[live], 64,
-                                    ftol=4 * np.finfo(float).eps)
-                t[live] = 0.5 * (a + b)
-            U = np.stack([np.cos(t), np.sin(t)], axis=1)
-            cands = U / f._values(U)[:, None]
+    if f.dim != 2:
+        raise DimensionMismatchError("the closest-point search is 2-dimensional")
+    pl = as_pl(f)
+    if pl is not None:
+        cands = _pl_boundary_candidates(pl)
     else:
-        rng = np.random.default_rng(0)
-        U = np.abs(rng.normal(size=(4096, f.dim)))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        U = np.vstack([U, np.eye(f.dim)])
+        phis = np.linspace(1e-7, math.pi / 2 - 1e-7, 4097)
+        U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
         vals = f._values(U)
-        keep = vals > 1e-15
-        cands = U[keep] / vals[keep, None]
+        with np.errstate(divide="ignore"):
+            r = np.where(vals > 1e-15, 1.0 / np.where(vals > 1e-15, vals, 1.0), np.inf)
+        interior_min = (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:]) & np.isfinite(r[1:-1])
+        minima = list(np.nonzero(interior_min)[0] + 1)
+        if np.isfinite(r[0]) and r[0] <= r[1]:
+            minima.append(0)
+        if np.isfinite(r[-1]) and r[-1] <= r[-2]:
+            minima.append(len(r) - 1)
+
+        # the radius is least where <grad f(u), u'> falls through 0; over
+        # |grad f| it is a sine, whose rounding floor is a few ulps
+        def slope(t, rows):
+            U = np.stack([np.cos(t), np.sin(t)], axis=1)
+            G = f._grads(U)
+            return (G[:, 1] * U[:, 0] - G[:, 0] * U[:, 1]) / np.hypot(G[:, 0], G[:, 1])
+
+        minima = np.array(minima, dtype=int)
+        lo = phis[np.maximum(minima - 1, 0)]
+        hi = phis[np.minimum(minima + 1, len(phis) - 1)]
+        s_lo, s_hi = slope(lo, None), slope(hi, None)
+        live = (s_lo > 0) & (s_hi < 0)
+        t = phis[minima]
+        if np.any(live):
+            a, b = bracket_root(slope, lo[live], hi[live], s_lo[live], s_hi[live], 64,
+                                ftol=4 * np.finfo(float).eps)
+            t[live] = 0.5 * (a + b)
+        U = np.stack([np.cos(t), np.sin(t)], axis=1)
+        cands = U / f._values(U)[:, None]
     dists = np.linalg.norm(cands, axis=1)
     j = int(np.argmin(dists))
     best = cands[j]
@@ -395,7 +390,8 @@ def contact_point(f):
     It is the antisphere point closest to the origin (|a| = 1 within 1e-9);
     every other local closest-point candidate must lie at distance
     >= 1 + ``DEFAULT.contact_unique``.  Raises ``NotSelfDualError`` when no
-    unit-distance point exists or the minimizer is ambiguous.
+    unit-distance point exists or the minimizer is ambiguous, and
+    ``DimensionMismatchError`` in d >= 3.
     """
     a, second = closest_antisphere_point(f)
     dist = float(np.linalg.norm(a))

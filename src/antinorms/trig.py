@@ -378,9 +378,9 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
             skips += 1
             continue
         th_star = ctx_dual.theta_of_point(q, tol=1e-6)
-        cs = ctx.cosh_sinh(float(th))
+        cs = ctx.frame_coords(P)   # (cosh, sinh) of th, P being P_th
         cs_star = ctx_dual.cosh_sinh(th_star)
-        res = abs(cs[0] * cs_star[0] + cs[1] * cs_star[1] - 1.0)
+        res = float(abs(cs[0] * cs_star[0] + cs[1] * cs_star[1] - 1.0))
         max_res = max(max_res, res)
         checked += 1
     return IdentityReport(max_res, checked, skips, ctx.mode)

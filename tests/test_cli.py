@@ -8,7 +8,7 @@ import pytest
 from antinorms import catalog
 from antinorms.cli import main
 from antinorms.serialize import expr_to_dict, family_to_dict
-from antinorms import MatrixFamily, TrigContext
+from antinorms import MatrixFamily, PLAntinorm, TrigContext
 
 
 @pytest.fixture
@@ -179,6 +179,28 @@ def test_trig_without_dual_context_keeps_values(files):
                 continue
             P = [c * math.cos(angle) - s * math.sin(angle), c * math.sin(angle) + s * math.cos(angle)]
             assert f.value(P) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_trig_on_pl_that_is_not_selfdual(files):
+    # the identity is checked against the antisphere of the exact PL dual
+    tmp, write = files
+    f = PLAntinorm([[1.0, 2.0], [3.0, 1.0]])
+    angle = TrigContext.build(f).frame_angle
+    out = str(tmp / "pl.csv")
+    assert main(["trig", "--antinorm", write("pl.json", expr_to_dict(f)),
+                 "--theta-range", "-0.5:0.3:17", "--output", out, "--quiet"]) == 0
+    rows = open(out).read().strip().splitlines()[1:]
+    assert len(rows) == 17
+    finite = 0
+    for row in rows:
+        t, c, s, r = map(float, row.split(","))
+        if math.isnan(c):
+            continue
+        finite += 1
+        P = [c * math.cos(angle) - s * math.sin(angle), c * math.sin(angle) + s * math.cos(angle)]
+        assert f.value(np.maximum(P, 0.0)) == pytest.approx(1.0, abs=1e-9)   # an end is on an axis
+        assert math.isnan(r) or r <= 1e-7
+    assert finite >= 12   # theta in [-0.4, 0.2]
 
 
 def test_missing_input_file_exit_2(files, capsys):

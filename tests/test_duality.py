@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from antinorms import (
+    ConeSplitAntinorm,
     NumericDualAntinorm,
     PLAntinorm,
     ProductAntinorm,
@@ -240,3 +241,47 @@ def test_young_report_rendering():
     rep = young_check(catalog("sum", dim=2), samples=100, seed=0)
     assert "max_young_violation" in rep.table()
     assert rep.to_dict()["samples"] == rep.samples
+
+
+def _circle_arc_dual(R, P):
+    # R (p + q) - R |(p, q)|, written without its cancellation near an axis
+    return 2.0 * R * P[:, 0] * P[:, 1] / (P.sum(axis=1) + np.hypot(P[:, 0], P[:, 1]))
+
+
+def test_dual2_batch_matches_closed_forms_to_1e13():
+    P = np.random.default_rng(11).lognormal(0.0, 1.5, (1000, 2))
+    R = 1.0 + math.sqrt(2.0)
+    apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    product = ProductAntinorm.selfdual([0.3, 0.7])
+    cases = [(catalog("sqrt2xy"), P, np.sqrt(2.0 * P[:, 0] * P[:, 1])),
+             (product, P, product._values(P)),
+             (catalog("circle_arc", radius=2.5), P, _circle_arc_dual(2.5, P)),
+             (catalog("min", dim=2), P, P.sum(axis=1)),
+             (catalog("sum", dim=2), P, P.min(axis=1))]
+    for eps in (0.3, 0.9):
+        Q = P[P[:, 1] <= eps * eps * P[:, 0] / 8.0]
+        assert len(Q) >= 10
+        cases.append((catalog("min_eps", eps=eps), Q,
+                      np.array([min_eps_dual_closed(eps, p, q) for p, q in Q])))
+    for side in ("upper", "lower"):   # self-dual, so its dual is itself
+        f = ConeSplitAntinorm(catalog("circle_arc", radius=R), apex, side=side, grid_n=4096)
+        cases.append((f, P, np.where(f._in_k1(P), f.f1._values(P), _circle_arc_dual(R, P))))
+    for f, Q, closed in cases:
+        assert np.max(np.abs(_dual2_batch(f, Q) / closed - 1.0)) <= 1e-13, f
+
+
+@pytest.mark.parametrize("f", [catalog("sqrt2xy"), ProductAntinorm.selfdual([0.3, 0.7])],
+                         ids=["sqrt2xy", "product"])
+def test_numeric_dual_grads_2d_are_the_attaining_points(f):
+    # f is self-dual, so the supergradient of its numeric dual is grad f
+    P = np.random.default_rng(12).lognormal(0.0, 1.0, (200, 2))
+    G = NumericDualAntinorm(f)._grads(P)
+    assert np.max(np.abs(G / f._grads(P) - 1.0)) <= 1e-12
+
+
+def test_dual2_batch_on_an_axis_takes_the_arc_end():
+    # near the arc's ends the normals of a numeric dual round to the axes;
+    # the dual at an axis is still the value at the arc's end, ~1e-6 here
+    # for the +-45 logit cut, not at the first normal that rounds to it
+    f = NumericDualAntinorm(ProductAntinorm.selfdual([0.3, 0.7]))
+    assert np.all(_dual2_batch(f, np.array([[0.0, 1.0], [1.0, 0.0]])) <= 2e-6)

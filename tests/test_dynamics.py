@@ -439,6 +439,13 @@ def test_body_iterate_prunes_once_per_iteration(monkeypatch):
         assert len(calls) == res.iterations == 6
 
 
+def test_lower_certificate_3d_sampled_branch():
+    fam = MatrixFamily([1.7 * np.eye(3), np.diag([2.0, 1.8, 1.9])])
+    assert lsr_lower_certificate(fam, catalog("rootsum3")) == pytest.approx(1.7, rel=1e-12)
+    fam = MatrixFamily(np.random.default_rng(3).uniform(0.1, 1.0, (2, 3, 3)))
+    assert lsr_lower_certificate(fam, ProductAntinorm([0.2, 0.3, 0.5])) <= lsr_upper(fam)[0]
+
+
 @pytest.mark.parametrize("f", [catalog("sqrt2xy"), ProductAntinorm([0.3, 0.7]),
                                catalog("circle_arc")], ids=["sqrt2xy", "product", "circle_arc"])
 def test_lower_certificate_2d_refines_to_the_ratio_minimum(f, monkeypatch):

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from antinorms import (
     AutopolarSeed,
     ConeSplitAntinorm,
+    DimensionMismatchError,
     InfeasibleSeedError,
     NotSelfDualError,
     PLAntinorm,
@@ -97,6 +98,12 @@ def test_contact_point_reference_cases():
 def test_contact_point_rejects_non_selfdual():
     with pytest.raises(NotSelfDualError):
         contact_point(catalog("sum", dim=2))  # closest point at distance 1/sqrt(2)
+
+
+def test_contact_point_in_3d_is_a_dimension_error():
+    # sampled directions never met |a| = 1 within 1e-9 for this self-dual antinorm
+    with pytest.raises(DimensionMismatchError):
+        contact_point(ProductAntinorm.selfdual([1.0 / 3.0] * 3))
 
 
 def test_selfdual_equality_below_euclidean_norm():

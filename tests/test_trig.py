@@ -108,6 +108,18 @@ def test_identity_hyperbola():
     assert rep.max_residual <= 1e-7
 
 
+def test_identity_finds_each_point_once(monkeypatch):
+    # one boundary inversion for P_t and one for its pole's point, per theta
+    ctx = TrigContext.build(catalog("sqrt2xy"))
+    thetas = [-1.0, 0.3, 1.2]
+    calls = []
+    point_at = ctx.point_at
+    monkeypatch.setattr(ctx, "point_at", lambda t: calls.append(t) or point_at(t))
+    rep = identity_check(ctx, thetas=thetas)
+    assert rep.checked == 3 and rep.max_residual <= 1e-7
+    assert len(calls) == 2 * len(thetas)
+
+
 def test_identity_autopolar_polygons():
     rng = np.random.default_rng(21)
     for k in (1, 3, 5):
