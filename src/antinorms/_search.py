@@ -6,9 +6,9 @@ package.  Callers:
 * ``bracket_root``: ``exprs._Arc.support`` (tangency p || grad f on a 2-d
   antisphere; the one search behind the 2-d numeric dual
   ``duality._dual2_batch``, the supergradients of 2-d
-  ``exprs.NumericDualAntinorm`` and ``exprs.ConeSplitAntinorm``),
-  ``selfdual.closest_antisphere_point`` (stationary radius) and
-  ``dynamics.lsr_lower_certificate`` (stationary ratio).
+  ``exprs.NumericDualAntinorm`` and ``exprs.ConeSplitAntinorm``; skipped at a
+  kink on a table node), ``selfdual.closest_antisphere_point`` (stationary
+  radius) and ``dynamics.lsr_lower_certificate`` (stationary ratio).
 * ``logit_points``: ``exprs._Arc``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
@@ -20,7 +20,8 @@ package.  Callers:
 * ``linprog``, ``minimize`` and ``brentq`` forward to ``scipy.optimize``.
   ``linprog``: ``exprs._dominated_by_hull``, ``geometry._lp_redundant``,
   ``geometry.positive_hull_value``; ``minimize``: ``duality._dual_nd``;
-  ``brentq``: ``trig._SmoothBoundary.point_at``, ``trig.TrigContext.point_at``.
+  ``brentq``: ``trig._SmoothBoundary.point_at`` (on a cell polynomial) and
+  ``trig.TrigContext._point_at`` (literal mode).
 
 These three are the package's only import of scipy, made on the first call:
 ``scipy.optimize`` takes about 0.6 s to import, longer than most CLI
@@ -56,7 +57,7 @@ def bracket_root(fn, lo, hi, flo, fhi, iters, ftol=0.0):
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
-    tol = 2.0 * _EPS * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    tol = bracket_tol(a, b)
     ftol = np.broadcast_to(np.asarray(ftol, dtype=float), a.shape)
     budget = np.ceil(np.log2(np.maximum((b - a) / (2.0 * tol), 1.0))) + 4.0   # ITP slack n0 = 4
     # per active row: the newest point x1, the bracket's other end x2, the
@@ -95,6 +96,11 @@ def bracket_root(fn, lo, hi, flo, fhi, iters, ftol=0.0):
         act, t = act[keep], t[keep]
         x1, x2, x3, f1, f2, f3 = x1[keep], x2[keep], x3[keep], f1[keep], f2[keep], f3[keep]
     return a, b
+
+
+def bracket_tol(a, b):
+    """``bracket_root``'s end tolerance on [a, b]: two ulps of the larger end."""
+    return 2.0 * _EPS * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def logit_points(t):

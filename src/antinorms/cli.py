@@ -313,17 +313,16 @@ def cmd_trig(run):
         ctx_dual = TrigContext.build(dual_pl(pl), mode=args.mode)
     else:
         ctx_dual = None
+    P = ctx.point_at(thetas)
+    res = np.full(len(thetas), math.nan)
+    found = ~np.isnan(P[:, 0])
+    if ctx_dual is not None:
+        res[found] = identity_check(ctx, thetas=thetas[found], ctx_dual=ctx_dual).residuals
+    # no values where the pole has no parameter on the dual antisphere (inf)
+    CS = np.where(np.isinf(res)[:, None], math.nan, ctx.frame_coords(P))
+    res[np.isinf(res)] = math.nan
     rows = ["theta,cosh,sinh,identity_residual"]
-    for t in thetas:
-        try:
-            c, s = ctx.cosh_sinh(float(t))
-            res = math.nan
-            if ctx_dual is not None:
-                rep = identity_check(ctx, thetas=[float(t)], ctx_dual=ctx_dual)
-                res = rep.max_residual if rep.checked else math.nan
-            rows.append(f"{fmt(t)},{fmt(c)},{fmt(s)},{fmt(res)}")
-        except AntinormError:
-            rows.append(f"{fmt(t)},nan,nan,nan")
+    rows += [f"{fmt(t)},{fmt(c)},{fmt(s)},{fmt(r)}" for t, (c, s), r in zip(thetas, CS, res)]
     run.output("\n".join(rows) + "\n")
     if args.svg:
         run.write(args.svg, render(curves=[(antisphere_points(f), "#1f77b4", None)],

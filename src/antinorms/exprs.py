@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import aitken_limit, bracket_root, linprog, logit_points
+from ._search import aitken_limit, bracket_root, bracket_tol, linprog, logit_points
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
 from .geometry import _prune_2d
@@ -129,6 +129,10 @@ class Antinorm:
         shifted = np.concatenate([X[None] + E, X[None] - E]).reshape(-1, d)
         v = self._values(np.maximum(shifted, 0.0)).reshape(2, d, n)
         return ((v[0] - v[1]) / (2.0 * step.T)).T
+
+    def _values_grads(self, X):
+        """``_values`` and ``_grads`` together, for one search that yields both."""
+        return self._values(X), self._grads(X)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -425,6 +429,7 @@ _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps arc points int
 _DUAL_U = np.linspace(-_UMAX, _UMAX, 1025)   # logit grid of the 2-d dual's arc
 _DUAL_U.setflags(write=False)
 _ROOT_STEPS = 64      # step cap of the tangency root
+_KINK_RATIO = 8.0     # a cell turning this much more than both neighbours may end at a kink
 
 
 def _unit_rows(G):
@@ -449,15 +454,15 @@ class _Arc:
 
     def __init__(self, f, u):
         X = logit_points(u)
-        v = f._values(X)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a NaN normal is never live
+            v, G = f._values_grads(X)
         keep = v > 0
         if not np.any(keep):
             raise DegenerateBodyError("antinorm vanishes on the whole sample set")
         self.f = f
         self.u = u[keep]
         self.points = X[keep] / v[keep, None]
-        with np.errstate(divide="ignore", invalid="ignore"):   # a NaN normal is never live
-            self.normals = _unit_rows(f._grads(X[keep]))
+        self.normals = _unit_rows(G[keep])
         self.angles = np.fmax.accumulate(np.arctan2(self.normals[:, 1], self.normals[:, 0]))
 
     def support(self, P):
@@ -469,9 +474,11 @@ class _Arc:
         outside; where a run of table angles equals it, at an end of the
         run.  Where sin(p, n) changes sign across the cell,
         ``bracket_root`` closes it onto the tangency p || grad f, at a kink
-        onto the jump.  The value is the smaller of the cell ends' and the
-        root's.  The attaining point is a supergradient of the support
-        function p -> min <p, s> (Danskin).
+        onto the jump, unless the cell turns ``_KINK_RATIO`` times more than
+        both neighbours and the sine flips within ``bracket_tol`` of an end:
+        a kink on that table node, closed there.  The value is the smaller
+        of the cell ends' and the root's.  The attaining point is a
+        supergradient of the support function p -> min <p, s> (Danskin).
         """
         angle = np.arctan2(P[:, 1], P[:, 0])
         j = np.searchsorted(self.angles, angle)
@@ -485,6 +492,14 @@ class _Arc:
         Q = _unit_rows(P)
         h_lo, h_hi = _sine(Q, self.normals[lo]), _sine(Q, self.normals[hi])
         live = np.nonzero((h_lo < 0) & (h_hi > 0))[0]
+        steps, c = np.diff(self.angles), lo[live]
+        kinky = live[steps[c] > _KINK_RATIO * np.maximum(steps[np.maximum(c - 1, 0)],
+                                                        steps[np.minimum(c + 1, len(steps) - 1)])]
+        if kinky.size:   # probe the sine just inside both ends of each such cell
+            a, b = self.u[lo[kinky]], self.u[hi[kinky]]
+            t = np.concatenate([a + bracket_tol(a, b), b - bracket_tol(a, b)])
+            h = _sine(np.tile(Q[kinky], (2, 1)), _unit_rows(self.f._grads(logit_points(t))))
+            live = np.setdiff1d(live, kinky[(h[:kinky.size] >= 0) | (h[kinky.size:] <= 0)])
         if live.size:
             QL, PL = Q[live], P[live]
 
@@ -596,13 +611,16 @@ class ConeSplitAntinorm(Antinorm):
         return out
 
     def _grads(self, X):
+        return self._values_grads(X)[1]
+
+    def _values_grads(self, X):
         mask = self._in_k1(X)
-        G = np.empty(X.shape)
+        v, G = np.empty(X.shape[0]), np.empty(X.shape)
         if np.any(mask):
-            G[mask] = self.f1._grads(X[mask])
+            v[mask], G[mask] = self.f1._values_grads(X[mask])
         if np.any(~mask):
-            G[~mask] = self._arc.support(X[~mask])[1]
-        return G
+            v[~mask], G[~mask] = self._arc.support(X[~mask])
+        return v, G
 
     def __repr__(self):
         return f"ConeSplitAntinorm({self.f1!r}, apex={self.apex.tolist()}, side={self.side!r})"

@@ -367,9 +367,10 @@ def closest_antisphere_point(f):
         minima = np.array(minima, dtype=int)
         lo = phis[np.maximum(minima - 1, 0)]
         hi = phis[np.minimum(minima + 1, len(phis) - 1)]
-        s_lo, s_hi = slope(lo, None), slope(hi, None)
-        live = (s_lo > 0) & (s_hi < 0)
         t = phis[minima]
+        # a slope at its rounding floor on the grid minimum (a kink there) needs no search
+        s_lo, s_t, s_hi = slope(np.concatenate([lo, t, hi]), None).reshape(3, -1)
+        live = (s_lo > 0) & (s_hi < 0) & (np.abs(s_t) > 4 * np.finfo(float).eps)
         if np.any(live):
             a, b = bracket_root(slope, lo[live], hi[live], s_lo[live], s_hi[live], 64,
                                 ftol=4 * np.finfo(float).eps)

@@ -30,10 +30,11 @@ angle, the identity is exactly <P_theta, q> = 1, i.e. tangency.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from ._search import brentq
 from .errors import DimensionMismatchError, ThetaRangeError
@@ -72,47 +73,33 @@ class _PolylineBoundary:
     """
 
     def __init__(self, pl):
-        self.V = ConicPolytope.from_halfspaces(pl.functionals).vertices()
-        m = len(self.V)
+        V = self.V = ConicPolytope.from_halfspaces(pl.functionals).vertices()
+        chord = V[1:, 0] * V[:-1, 1] - V[1:, 1] * V[:-1, 0]   # V[i + 1] x V[i]
         # T[i] = sector position of vertex i, increasing toward OY (index 0)
-        T = np.zeros(m)
-        for i in range(m - 2, -1, -1):
-            T[i] = T[i + 1] + _cross2(self.V[i + 1], self.V[i])
-        self.T = T
-        self.lead_rate = float(self.V[0][0])    # d(theta)/dt up the vertical ray
-        self.trail_rate = float(self.V[-1][1])  # d(theta)/dt out the horizontal ray
+        self.T = np.append(np.cumsum(chord[::-1])[::-1], 0.0)
+        self.lead_rate = float(V[0][0])    # d(theta)/dt up the vertical ray
+        self.trail_rate = float(V[-1][1])  # d(theta)/dt out the horizontal ray
+        # pieces: the chords V[i + 1] -> V[i], the trailing and the leading
+        # ray; start, direction, end parameter, position at start and its rate
+        self._a = np.vstack([V[1:], V[-1:], V[:1]])
+        self._d = np.vstack([V[:-1] - V[1:], [[1.0, 0.0], [0.0, 1.0]]])
+        L2 = np.einsum("ij,ij->i", self._d, self._d)
+        self._L2 = np.where(L2 > 0, L2, 1.0)   # a zero-length chord projects to t = 0
+        self._end = np.r_[np.ones(len(chord)), math.inf, math.inf]
+        self._start = np.r_[self.T[1:], self.T[-1], self.T[0]]
+        self._rate = np.r_[chord, -self.trail_rate, self.lead_rate]
 
     def corners(self):
         return self.V
 
     def locate(self, P):
-        """(sector position, piece id) of a point on the boundary."""
-        best = (math.inf, 0.0)
-        m = len(self.V)
-        for i in range(m - 1):
-            a, b = self.V[i + 1], self.V[i]
-            d = b - a
-            L2 = float(d @ d)
-            t = float(np.clip((P - a) @ d / L2, 0.0, 1.0)) if L2 > 0 else 0.0
-            proj = a + t * d
-            res = float(np.linalg.norm(P - proj))
-            if res < best[0]:
-                best = (res, self.T[i + 1] + t * _cross2(a, b))
-        # trailing horizontal ray from V[-1]
-        t = max(0.0, float(P[0] - self.V[-1][0]))
-        proj = self.V[-1] + np.array([t, 0.0])
-        res = float(np.linalg.norm(P - proj))
-        if res < best[0]:
-            best = (res, self.T[-1] - t * self.trail_rate)
-        # leading vertical ray from V[0]
-        t = max(0.0, float(P[1] - self.V[0][1]))
-        proj = self.V[0] + np.array([0.0, t])
-        res = float(np.linalg.norm(P - proj))
-        if res < best[0]:
-            best = (res, self.T[0] + t * self.lead_rate)
-        if best[0] > 1e-7 * (1.0 + float(np.linalg.norm(P))):
+        """Sector position of a point on the boundary, on its nearest piece."""
+        t = np.clip(np.einsum("ij,ij->i", P - self._a, self._d) / self._L2, 0.0, self._end)
+        res = np.linalg.norm(P - (self._a + t[:, None] * self._d), axis=1)
+        j = int(np.argmin(res))
+        if res[j] > 1e-7 * (1.0 + float(np.linalg.norm(P))):
             raise ThetaRangeError(f"point {P.tolist()} is not on the antisphere")
-        return best[1]
+        return float(self._start[j] + t[j] * self._rate[j])
 
     def range(self):
         lo = self.T[-1] - (math.inf if self.trail_rate > 1e-15 else 0.0)
@@ -140,14 +127,15 @@ class _PolylineBoundary:
 
 
 class _SmoothBoundary:
-    """Antisphere parametrized by polar angle with quadrature sector areas.
+    """Antisphere parametrized by polar angle with interpolated sector areas.
 
-    Sector position is the cumulative integral of r(phi)^2 with
-    r = 1/f(cos phi, sin phi), evaluated per interval with Gauss-Legendre
-    nodes on a grid uniform in tau = log tan phi (log spacing resolves the
-    approach to the axes).  The grid spans tau in [-L, L]; positions beyond
-    the grid raise, which only truncates antinorms whose sector area
-    diverges toward an axis.
+    Sector position is the cumulative integral of r(phi)^2, r = 1/f(cos phi,
+    sin phi), on a grid uniform in tau = log tan phi (log spacing resolves
+    the approach to the axes).  Each cell keeps the antiderivative of the
+    Legendre interpolant through its 16 Gauss-Legendre samples, so ``locate``
+    calls no antinorm and ``point_at`` runs ``brentq`` on cell polynomials.
+    The grid spans tau in [-L, L]; positions beyond the grid raise, which
+    only truncates antinorms whose sector area diverges toward an axis.
     """
 
     L = 16.0
@@ -156,12 +144,14 @@ class _SmoothBoundary:
     def __init__(self, f):
         self.f = f
         self.taus = np.linspace(-self.L, self.L, self.N)
-        mid = 0.5 * (self.taus[1:] + self.taus[:-1])
-        half = 0.5 * np.diff(self.taus)
-        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-        weights = half[:, None] * _GL_W[None, :]
+        self.mid = 0.5 * (self.taus[1:] + self.taus[:-1])
+        self.half = 0.5 * np.diff(self.taus)
+        nodes = self.mid[:, None] + self.half[:, None] * _GL_X[None, :]
         vals = self._integrand(nodes.ravel()).reshape(nodes.shape)
-        self.cum = np.concatenate([[0.0], np.cumsum((vals * weights).sum(axis=1))])
+        # the interpolant's Legendre coefficients, by the nodes' discrete orthogonality
+        coef = vals @ (legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5))
+        self.anti = legint(coef, lbnd=-1, axis=1) * self.half[:, None]
+        self.cum = np.concatenate([[0.0], np.cumsum(self.anti.sum(axis=1))])   # P_k(1) = 1
 
     def _integrand(self, tau):
         phi = np.arctan(np.exp(tau))
@@ -170,17 +160,8 @@ class _SmoothBoundary:
         r2 = 1.0 / np.maximum(fv, 1e-300) ** 2
         return r2 / (2.0 * np.cosh(tau))
 
-    def _gl(self, a, b):
-        if a == b:
-            return 0.0
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return float(np.sum(self._integrand(mid + half * _GL_X) * half * _GL_W))
-
-    def _pos_of_tau(self, tau):
-        tau = float(np.clip(tau, -self.L, self.L))
-        i = min(int(np.searchsorted(self.taus, tau)) - 1, self.N - 2)
-        i = max(i, 0)
-        return self.cum[i] + self._gl(self.taus[i], tau)
+    def _pos(self, i, tau):
+        return self.cum[i] + legval((tau - self.mid[i]) / self.half[i], self.anti[i])
 
     def corners(self):
         return np.empty((0, 2))
@@ -189,29 +170,34 @@ class _SmoothBoundary:
         phi = math.atan2(P[1], P[0])
         if not (0.0 < phi < math.pi / 2):
             raise ThetaRangeError("point direction leaves the open orthant")
-        return self._pos_of_tau(math.log(math.tan(phi)))
+        tau = float(np.clip(math.log(math.tan(phi)), -self.L, self.L))
+        i = max(min(int(np.searchsorted(self.taus, tau)) - 1, self.N - 2), 0)
+        return self._pos(i, tau)
 
     def range(self):
         return float(self.cum[0] - 0.0), float(self.cum[-1])
 
     def point_at(self, pos):
-        if not (self.cum[0] - 1e-12 <= pos <= self.cum[-1] + 1e-12):
+        """The point at each position; NaN rows outside the table, where a
+        single position raises."""
+        q = np.atleast_1d(np.asarray(pos, dtype=float))
+        ok = (self.cum[0] - 1e-12 <= q) & (q <= self.cum[-1] + 1e-12)
+        if np.ndim(pos) == 0 and not ok[0]:
             raise ThetaRangeError(f"sector position {pos} outside the tabulated range")
-        i = min(int(np.searchsorted(self.cum, pos)) - 1, self.N - 2)
-        i = max(i, 0)
-
-        def g(tau):
-            return self.cum[i] + self._gl(self.taus[i], tau) - pos
-
-        lo, hi = self.taus[i], self.taus[i + 1]
-        glo, ghi = g(lo), g(hi)
-        if glo > 0 or ghi < 0:  # numerical slack at bin edges
-            tau = lo if abs(glo) < abs(ghi) else hi
-        else:
-            tau = brentq(g, lo, hi, xtol=1e-14)
-        phi = math.atan(math.exp(tau))
-        u = np.array([math.cos(phi), math.sin(phi)])
-        return u / self.f.value(u)
+        tau = np.full(q.shape, np.nan)
+        for r in np.nonzero(ok)[0]:
+            i = max(min(int(np.searchsorted(self.cum, q[r])) - 1, self.N - 2), 0)
+            lo, hi = self.taus[i], self.taus[i + 1]
+            glo, ghi = self._pos(i, lo) - q[r], self._pos(i, hi) - q[r]
+            if glo > 0 or ghi < 0:  # numerical slack at bin edges
+                tau[r] = lo if abs(glo) < abs(ghi) else hi
+            else:
+                tau[r] = brentq(lambda t: self._pos(i, t) - q[r], lo, hi, xtol=1e-14)
+        phi = np.arctan(np.exp(tau[ok]))
+        U = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        P = np.full((len(q), 2), np.nan)
+        P[ok] = U / self.f._values(U)[:, None]
+        return P[0] if np.ndim(pos) == 0 else P
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +229,20 @@ class TrigContext:
         return ctx
 
     def frame_coords(self, P):
+        """Frame coordinates of a point, or of each row of a batch."""
+        P = np.asarray(P)
         c, s = math.cos(self.frame_angle), math.sin(self.frame_angle)
-        return np.array([c * P[0] + s * P[1], -s * P[0] + c * P[1]])
-
-    def _sector_theta(self, P):
-        return self._boundary.locate(P) - self._origin_pos
+        return np.stack([c * P[..., 0] + s * P[..., 1], -s * P[..., 0] + c * P[..., 1]], axis=-1)
 
     def theta_of_point(self, P, tol=1e-9):
         P = as_point(P, 2)
         fp = self.f.value(P)
         if abs(fp - 1.0) > tol:
             raise ThetaRangeError(f"f(P) = {fp!r}; point is not on the antisphere")
-        th = self._sector_theta(P)
+        return self._theta(P)
+
+    def _theta(self, P):
+        th = self._boundary.locate(P) - self._origin_pos
         if self.mode == "sector":
             return th
         xi, eta = self.frame_coords(P)
@@ -276,8 +264,21 @@ class TrigContext:
         return min(out), max(out)
 
     def point_at(self, theta):
+        """P_theta; for an array of theta one row each, NaN where a single
+        theta would raise ``ThetaRangeError``.  Sector mode on a smooth
+        antisphere inverts all rows in one pass."""
+        batched = self.mode == "sector" and isinstance(self._boundary, _SmoothBoundary)
+        if np.ndim(theta) == 0 or batched:
+            return self._point_at(theta)
+        P = np.full((len(theta), 2), np.nan)
+        for r, t in enumerate(theta):
+            with suppress(ThetaRangeError):
+                P[r] = self._point_at(float(t))
+        return P
+
+    def _point_at(self, theta):
         if self.mode == "sector":
-            return self._boundary.point_at(theta + self._origin_pos)
+            return self._boundary.point_at(np.asarray(theta, dtype=float) + self._origin_pos)
         lo, hi = self._boundary.range()
         lo = max(lo, self._origin_pos - 1e6)
         hi = min(hi, self._origin_pos + 1e6)
@@ -335,18 +336,17 @@ class IdentityReport:
     checked: int
     corner_skips: int
     mode: str
+    residuals: np.ndarray
 
 
-def _pole_at(ctx, P):
-    """Pole of the support line at P: the active functional for PL
-    antinorms, grad f(P) otherwise (Euler: <grad f, P> = f(P) = 1)."""
+def _poles(ctx, P):
+    """Pole of the support line at each row of P: the active functional for
+    PL antinorms (NaN at a corner), grad f otherwise (<grad f, P> = f = 1)."""
     pl = as_pl(ctx.f)
-    if pl is not None:
-        active = pl.active_functionals(P)
-        if len(active) != 1:
-            return None  # corner
-        return active[0]
-    return ctx.f.grad(P)
+    if pl is None:
+        return ctx.f._grads(P)
+    act = [pl.active_functionals(p) for p in P]
+    return np.array([a[0] if len(a) == 1 else [np.nan, np.nan] for a in act]).reshape(-1, 2)
 
 
 def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
@@ -355,7 +355,9 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
     t* is the parameter of the pole q of the support line at P_t on the
     dual antisphere; for a self-dual context the same context serves as its
     own dual.  Points within 1e-4 of a polygon corner have a set-valued
-    support line and are skipped and counted separately.
+    support line and are skipped and counted separately.  One ``point_at``
+    call inverts all thetas and one more all t*.  ``residuals`` holds each
+    theta's: NaN if skipped, inf (checked) if q has no t* on the dual.
     """
     if ctx_dual is None:
         ctx_dual = ctx
@@ -364,23 +366,23 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
         lo, hi = max(lo, -4.0), min(hi, 4.0)
         pad = 0.02 * (hi - lo)
         thetas = np.linspace(lo + pad, hi - pad, n_samples)
-    max_res = 0.0
-    skips = 0
-    checked = 0
+    P = ctx.point_at(np.asarray(thetas, dtype=float))
+    if np.isnan(P).any():
+        raise ThetaRangeError("a theta lies outside the context's range")
     corners = ctx.corners()
-    for th in thetas:
-        P = ctx.point_at(float(th))
-        if len(corners) and float(np.min(np.linalg.norm(corners - P, axis=1))) < 1e-4:
-            skips += 1
-            continue
-        q = _pole_at(ctx, P)
-        if q is None:
-            skips += 1
-            continue
-        th_star = ctx_dual.theta_of_point(q, tol=1e-6)
-        cs = ctx.frame_coords(P)   # (cosh, sinh) of th, P being P_th
-        cs_star = ctx_dual.cosh_sinh(th_star)
-        res = float(abs(cs[0] * cs_star[0] + cs[1] * cs_star[1] - 1.0))
-        max_res = max(max_res, res)
-        checked += 1
-    return IdentityReport(max_res, checked, skips, ctx.mode)
+    near = [len(corners) > 0 and np.min(np.linalg.norm(corners - p, axis=1)) < 1e-4 for p in P]
+    Q = np.where(np.reshape(near, (-1, 1)), np.nan, _poles(ctx, P))
+    res = np.where(np.isnan(Q[:, 0]), np.nan, np.inf)   # skipped, or inf until t* is found
+    th_star = np.full(len(P), np.nan)
+    inside = np.nonzero(np.all(np.isfinite(Q) & (Q >= 0), axis=1))[0]
+    for k, v in zip(inside, ctx_dual.f._values(Q[inside])):
+        if abs(v - 1.0) <= 1e-6:
+            with suppress(ThetaRangeError):
+                th_star[k] = ctx_dual._theta(Q[k])
+    found = ~np.isnan(th_star)
+    cs_star = ctx_dual.frame_coords(ctx_dual.point_at(th_star[found]))
+    r = np.abs(np.sum(ctx.frame_coords(P[found]) * cs_star, axis=1) - 1.0)
+    res[found] = np.where(np.isnan(r), np.inf, r)
+    checked = ~np.isnan(res)
+    return IdentityReport(float(np.max(res[checked], initial=0.0)), int(checked.sum()),
+                          int(len(P) - checked.sum()), ctx.mode, res)

@@ -20,7 +20,8 @@ from antinorms import (
 )
 from antinorms import duality
 from antinorms.duality import _dual2_batch, dual_values
-from antinorms.exprs import continuous_extension_eval
+from antinorms._search import logit_points
+from antinorms.exprs import _Arc, continuous_extension_eval
 
 
 def test_dual_of_sum_is_min():
@@ -268,6 +269,44 @@ def test_dual2_batch_matches_closed_forms_to_1e13():
         cases.append((f, P, np.where(f._in_k1(P), f.f1._values(P), _circle_arc_dual(R, P))))
     for f, Q, closed in cases:
         assert np.max(np.abs(_dual2_batch(f, Q) / closed - 1.0)) <= 1e-13, f
+
+
+def test_min_eps_kink_on_the_table_grid_closes_without_a_search():
+    # the kink of min_eps at x = y is a node (u = 0) of the dual's logit
+    # table; every p in its normal cone attains f* there, and the support
+    # query closes those rows at the node instead of bisecting onto the jump
+    eps = 0.5
+    f = catalog("min_eps", eps=eps)
+    a0, a1 = math.atan2(eps / 2, 1 + eps / 2), math.atan2(1 + eps / 2, eps / 2)
+    angles = np.linspace(a0, a1, 202)[1:-1]
+    P = np.stack([np.cos(angles), np.sin(angles)], axis=1) * np.linspace(0.5, 3.0, 200)[:, None]
+    calls = []
+    grads = f._grads
+    f._grads = lambda X: calls.append(len(X)) or grads(X)
+    vals = dual_values(f, P)
+    assert calls[0] == len(duality._DUAL_U) and len(calls) - 1 <= 2   # the table, then no search
+    expect = P.sum(axis=1) / (1.0 + eps)
+    assert np.all(np.abs(vals - expect) <= 4 * np.spacing(expect))
+    # away from the kink the closed form still holds
+    q = np.exp(np.random.default_rng(13).uniform(math.log(1e-6), math.log(eps**2 / 8), 100))
+    Q = np.stack([np.ones_like(q), q], axis=1)
+    Q = np.concatenate([Q, Q[:, ::-1]])
+    closed = np.array([min_eps_dual_closed(eps, *sorted(p, reverse=True)) for p in Q])
+    assert np.max(np.abs(dual_values(f, Q) / closed - 1.0)) <= 1e-13
+
+
+def test_arc_of_a_cone_split_queries_its_k1_arc_once():
+    # the table's values and normals on K2 come from one support query
+    apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    f = ConeSplitAntinorm(catalog("circle_arc"), apex, side="upper", grid_n=4096)
+    calls = []
+    support = f._arc.support
+    f._arc.support = lambda P: calls.append(len(P)) or support(P)
+    arc = _Arc(f, duality._DUAL_U)
+    assert len(calls) == 1
+    X = logit_points(arc.u)
+    assert np.array_equal(arc.points, X / f._values(X)[:, None])
+    assert np.allclose(arc.normals * np.hypot(*f._grads(X).T)[:, None], f._grads(X), rtol=1e-14)
 
 
 @pytest.mark.parametrize("f", [catalog("sqrt2xy"), ProductAntinorm.selfdual([0.3, 0.7])],

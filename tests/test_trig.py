@@ -5,7 +5,9 @@ import pytest
 
 from antinorms import (
     AutopolarSeed,
+    ConeSplitAntinorm,
     PLAntinorm,
+    ProductAntinorm,
     ThetaRangeError,
     TrigContext,
     catalog,
@@ -109,12 +111,13 @@ def test_identity_hyperbola():
 
 
 def test_identity_finds_each_point_once(monkeypatch):
-    # one boundary inversion for P_t and one for its pole's point, per theta
+    # one boundary inversion for P_t and one for its pole's point, per theta;
+    # point_at takes a batch, so count the theta rows it is given
     ctx = TrigContext.build(catalog("sqrt2xy"))
     thetas = [-1.0, 0.3, 1.2]
     calls = []
     point_at = ctx.point_at
-    monkeypatch.setattr(ctx, "point_at", lambda t: calls.append(t) or point_at(t))
+    monkeypatch.setattr(ctx, "point_at", lambda t: calls.extend(np.atleast_1d(t)) or point_at(t))
     rep = identity_check(ctx, thetas=thetas)
     assert rep.checked == 3 and rep.max_residual <= 1e-7
     assert len(calls) == 2 * len(thetas)
@@ -162,3 +165,54 @@ def test_corner_skip_reporting():
 
 def test_theta_of_point_module_function():
     assert theta_of_point(HYP, HYP.contact) == pytest.approx(0.0, abs=1e-12)
+
+
+def _inversion_contexts():
+    # side "lower": on the upper split the area table reaches ~1.5e6 before
+    # the contact, so theta = position - origin keeps only ~1e-10 absolutely
+    apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    split = ConeSplitAntinorm(catalog("circle_arc"), apex, side="lower", grid_n=4096)
+    # sqrt2xy's integrand is the constant 1/2, so its cell interpolant is exact
+    return [(TrigContext.build(catalog("sqrt2xy")), True),
+            (TrigContext.build(ProductAntinorm.selfdual([0.3, 0.7])), False),
+            (TrigContext.build(split), False)]
+
+
+@pytest.mark.parametrize("ctx, exact", _inversion_contexts(), ids=["sqrt2xy", "product", "cone_split"])
+def test_batched_inversion_is_one_antinorm_call_and_inverts_theta(ctx, exact):
+    lo, hi = ctx.theta_range()   # the tau window ends the range of some below 3
+    thetas = np.linspace(max(lo, -3.0), min(hi - 0.01, 3.0), 25)
+    calls = []
+    values = ctx.f._values
+    ctx.f._values = lambda X: calls.append(len(X)) or values(X)
+    P = ctx.point_at(thetas)
+    assert calls == [len(thetas)]
+    del ctx.f._values
+    back = np.array([ctx.theta_of_point(p) for p in P])
+    assert np.max(np.abs(back - thetas)) <= 1e-12
+    assert np.array_equal(P[7], ctx.point_at(float(thetas[7])))   # a scalar is one row
+    if exact:
+        CS = ctx.frame_coords(P)
+        assert np.all(np.abs(CS - np.stack([np.cosh(thetas), np.sinh(thetas)], axis=1))
+                      <= 1e-13 * np.cosh(thetas)[:, None])
+
+
+def test_batched_point_at_marks_rows_outside_the_range():
+    lo, hi = HYP.theta_range()
+    P = HYP.point_at(np.array([lo - 1.0, 0.0, hi + 1.0]))
+    assert np.isnan(P[[0, 2]]).all() and np.allclose(P[1], HYP.contact, atol=1e-12)
+    with pytest.raises(ThetaRangeError):
+        HYP.point_at(hi + 1.0)
+    ctx = TrigContext.build(K1.antinorm())
+    P = ctx.point_at(np.array([0.2, 0.76]))
+    assert np.array_equal(P[0], ctx.point_at(0.2)) and np.isnan(P[1]).all()
+
+
+def test_identity_reports_each_residual():
+    thetas = [-1.0, 0.3, 1.2]
+    rep = identity_check(HYP, thetas=thetas)
+    assert rep.residuals.shape == (3,) and np.all(rep.residuals <= 1e-7)
+    assert rep.max_residual == np.max(rep.residuals)
+    poly = construct2(AutopolarSeed(1, math.atan2(0.8, 0.6)))
+    rep = identity_check(TrigContext.build(poly.antinorm()), thetas=[0.0, 0.3])
+    assert math.isnan(rep.residuals[0]) and rep.residuals[1] <= 1e-7   # theta = 0 is the corner A0
