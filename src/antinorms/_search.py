@@ -14,13 +14,16 @@ package.  Callers:
   and CLI ``dual``.
 * ``simplex_grid``, always in d >= 3: ``duality._dual_nd``,
   ``selfdual._probe_grid``, ``dynamics.lsr_lower_certificate`` and
-  ``geometry._extreme_by_direction`` (``prune_positive_hull``'s certificate).
+  ``geometry._extreme_by_direction`` (the certificate of
+  ``prune_positive_hull`` and ``exprs.canonicalize_pl``).
 * ``aitken_limit``: ``exprs.continuous_extension_eval``,
   ``dynamics.invariant_body_iterate``.
 * ``linprog``, ``minimize`` and ``brentq`` forward to ``scipy.optimize``.
-  ``linprog``: ``exprs._dominated_by_hull``, ``geometry._lp_redundant``,
-  ``geometry.positive_hull_value``; ``minimize``: ``duality._dual_nd``;
-  ``brentq``: ``trig._SmoothBoundary.point_at`` (on a cell polynomial) and
+  ``linprog``: ``exprs._dominated_by_hull`` (``canonicalize_pl``) and
+  ``geometry._lp_redundant`` (``prune_positive_hull``), each only for the
+  rows no certificate decides, and ``geometry.positive_hull_value``;
+  ``minimize``: ``duality._dual_nd``; ``brentq``:
+  ``trig._SmoothBoundary.point_at`` (on a cell polynomial) and
   ``trig.TrigContext._point_at`` (literal mode).
 
 These three are the package's only import of scipy, made on the first call:

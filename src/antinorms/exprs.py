@@ -29,7 +29,7 @@ import numpy as np
 from ._search import aitken_limit, bracket_root, bracket_tol, linprog, logit_points
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
-from .geometry import _prune_2d
+from .geometry import _prune_2d, _prune_in_order
 
 __all__ = [
     "Antinorm",
@@ -225,7 +225,8 @@ class ProductAntinorm(Antinorm):
         zero = np.any(Xa == 0, axis=1)
         out = np.zeros(X.shape[0])
         if np.any(~zero):
-            logs = np.log(Xa[~zero]) @ wa
+            # not a BLAS product, whose rounding depends on the batch size
+            logs = np.einsum("ij,j->i", np.log(Xa[~zero]), wa)
             out[~zero] = self.scale * np.exp(logs)
         return out
 
@@ -670,23 +671,17 @@ def canonicalize_pl(f):
     R^d_+ by monotonicity, and dropping a_j never changes the minimum).
     With tol = ``DEFAULT.redundancy`` (1e-9): in d = 2 one staircase sweep
     drops a_j when a point of the chord between its kept neighbours is
-    <= a_j + tol * (1 + |a_j|_inf); in d >= 3 one LP per row, in
-    lexicographic order, drops a_j when a convex combination of the rows
-    still kept is <= a_j + tol.  Either way the output is deterministic.
+    <= a_j + tol * (1 + |a_j|_inf); in d >= 3 the rows are visited in
+    lexicographic order and a_j is dropped when a convex combination of the
+    rows still kept is <= a_j + tol.  There the certificates of
+    ``prune_positive_hull`` decide most rows and ``_dominated_by_hull``
+    solves one LP for each row they leave open.  Either way the output is
+    deterministic.
     """
     A = np.unique(f.functionals, axis=0)  # sorts lexicographically
     if A.shape[1] == 2:
         return PLAntinorm(_prune_2d(A, DEFAULT.redundancy))
-    keep = list(range(A.shape[0]))
-    i = 0
-    while i < len(keep):
-        row = A[keep[i]]
-        others = A[[k for j, k in enumerate(keep) if j != i]]
-        if _dominated_by_hull(row, others, DEFAULT.redundancy):
-            keep.pop(i)
-        else:
-            i += 1
-    return PLAntinorm(A[keep])
+    return PLAntinorm(A[_prune_in_order(A, DEFAULT.redundancy, _dominated_by_hull)])
 
 
 def as_pl(f):

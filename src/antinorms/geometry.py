@@ -274,7 +274,7 @@ def _prune_2d(points, tol):
         while hull and _chord_covers(hull[-2] if len(hull) > 1 else None, p, hull[-1], tol):
             hull.pop()
         hull.append(p)
-    return np.array(hull)
+    return np.array(hull).reshape(-1, 2)
 
 
 def _lp_redundant(v, others, tol):
@@ -296,13 +296,17 @@ def _lp_redundant(v, others, tol):
 def _extreme_by_direction(pts, tol):
     """Rows that some direction y of the simplex grid ``simplex_grid(d, 8)``
     makes the unique minimizer of <y, .> over all rows, by a margin of
-    tol + 1e-6 (1 + |row|_inf).
+    tol + 1e-6 (1 + |row|_inf); every row when there are fewer than two.
 
     Such a row is not <= a convex combination of the others plus tol: that
     combination would have <y, .> <= <y, row> + tol (y >= 0 sums to 1) but
     is >= the second smallest value.  The 1e-6 keeps the verdict through
-    the LP solver's 1e-7 feasibility tolerance.
+    the LP solver's 1e-7 feasibility tolerance.  ``_prune_in_order`` keeps
+    these rows without an LP, for ``prune_positive_hull`` and
+    ``exprs.canonicalize_pl``.
     """
+    if len(pts) < 2:
+        return np.ones(len(pts), dtype=bool)
     S = pts @ simplex_grid(pts.shape[1], 8).T          # (n, directions)
     order = np.argpartition(S, 1, axis=0)[:2]
     cols = np.arange(S.shape[1])
@@ -311,6 +315,29 @@ def _extreme_by_direction(pts, tol):
     extreme = np.zeros(len(pts), dtype=bool)
     extreme[order[0][second - first > margin]] = True
     return extreme
+
+
+def _prune_in_order(pts, tol, lp_redundant):
+    """Mask of the rows kept when each row in turn is dropped if a convex
+    combination of the rows still kept is <= it + tol.
+
+    ``lp_redundant(row, others, tol)`` is that LP feasibility test; it runs
+    only when no certificate decides, as in Clarkson, "More output-sensitive
+    geometric algorithms" (FOCS 1994).  A row is dropped without it when a
+    kept row is <= it + tol componentwise (a vertex of the LP's simplex is
+    feasible), and kept without it when ``_extreme_by_direction`` certifies
+    it (Farkas makes the LP infeasible).  Both certificates decide as the LP
+    would, so the mask is the one the LP alone gives.
+    """
+    extreme = _extreme_by_direction(pts, tol)
+    kept = np.ones(len(pts), dtype=bool)
+    for i in np.flatnonzero(~extreme):
+        kept[i] = False
+        others = pts[kept]
+        if not (np.any(np.all(others <= pts[i] + tol, axis=1))
+                or lp_redundant(pts[i], others, tol)):
+            kept[i] = True
+    return kept
 
 
 def prune_positive_hull(points):
@@ -323,33 +350,14 @@ def prune_positive_hull(points):
     <= b + tol * (1 + |b|_inf).
 
     Higher dimensions visit the points in order, each against the points
-    still kept, and the verdict is that of one small LP feasibility problem
-    (a combination <= b + tol); the LP runs only when no certificate
-    decides, as in Clarkson, "More output-sensitive geometric algorithms"
-    (FOCS 1994).  A point is dropped without it when a kept point is <= it +
-    tol componentwise (a vertex of the LP's simplex is feasible), and kept
-    without it when a direction of a fixed grid makes it the unique
-    minimizer over all points by a margin (``_extreme_by_direction``;
-    Farkas makes the LP infeasible).  Both certificates decide as the LP
-    would, so the kept set is the one the LP alone gives.
+    still kept (``_prune_in_order``, shared with ``exprs.canonicalize_pl``):
+    certificates decide most points and ``_lp_redundant`` the rest.
     """
     tol = 1e-10
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] <= 1:
-        return pts.copy()
     if pts.shape[1] == 2:
         return _prune_2d(pts, tol)
-    extreme = _extreme_by_direction(pts, tol)
-    kept = np.ones(len(pts), dtype=bool)
-    for i in range(len(pts)):
-        if extreme[i]:
-            continue
-        kept[i] = False
-        others = pts[kept]
-        if not (np.any(np.all(others <= pts[i] + tol, axis=1))
-                or _lp_redundant(pts[i], others, tol)):
-            kept[i] = True
-    return pts[kept]
+    return pts[_prune_in_order(pts, tol, _lp_redundant)]
 
 
 def positive_hull_value(points, x):

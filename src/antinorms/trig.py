@@ -134,6 +134,9 @@ class _SmoothBoundary:
     the approach to the axes).  Each cell keeps the antiderivative of the
     Legendre interpolant through its 16 Gauss-Legendre samples, so ``locate``
     calls no antinorm and ``point_at`` runs ``brentq`` on cell polynomials.
+    The cell areas are summed outward from the cell of the ``contact``
+    direction, whose left end is position 0, so positions near the contact
+    keep their digits however large the area toward an axis grows.
     The grid spans tau in [-L, L]; positions beyond the grid raise, which
     only truncates antinorms whose sector area diverges toward an axis.
     """
@@ -141,7 +144,7 @@ class _SmoothBoundary:
     L = 16.0
     N = 2001
 
-    def __init__(self, f):
+    def __init__(self, f, contact):
         self.f = f
         self.taus = np.linspace(-self.L, self.L, self.N)
         self.mid = 0.5 * (self.taus[1:] + self.taus[:-1])
@@ -151,7 +154,9 @@ class _SmoothBoundary:
         # the interpolant's Legendre coefficients, by the nodes' discrete orthogonality
         coef = vals @ (legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5))
         self.anti = legint(coef, lbnd=-1, axis=1) * self.half[:, None]
-        self.cum = np.concatenate([[0.0], np.cumsum(self.anti.sum(axis=1))])   # P_k(1) = 1
+        area = self.anti.sum(axis=1)   # P_k(1) = 1
+        c = self._cell(self._tau(contact))
+        self.cum = np.concatenate([-np.cumsum(area[:c][::-1])[::-1], [0.0], np.cumsum(area[c:])])
 
     def _integrand(self, tau):
         phi = np.arctan(np.exp(tau))
@@ -167,12 +172,17 @@ class _SmoothBoundary:
         return np.empty((0, 2))
 
     def locate(self, P):
+        tau = self._tau(P)
+        return self._pos(self._cell(tau), tau)
+
+    def _tau(self, P):
         phi = math.atan2(P[1], P[0])
         if not (0.0 < phi < math.pi / 2):
             raise ThetaRangeError("point direction leaves the open orthant")
-        tau = float(np.clip(math.log(math.tan(phi)), -self.L, self.L))
-        i = max(min(int(np.searchsorted(self.taus, tau)) - 1, self.N - 2), 0)
-        return self._pos(i, tau)
+        return float(np.clip(math.log(math.tan(phi)), -self.L, self.L))
+
+    def _cell(self, tau):
+        return max(min(int(np.searchsorted(self.taus, tau)) - 1, self.N - 2), 0)
 
     def range(self):
         return float(self.cum[0] - 0.0), float(self.cum[-1])
@@ -223,7 +233,7 @@ class TrigContext:
             raise ValueError("mode must be 'sector' or 'literal'")
         contact = as_point(closest_antisphere_point(f)[0], 2)
         pl = as_pl(f)
-        boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f)
+        boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f, contact)
         ctx = cls(f, contact, math.atan2(contact[1], contact[0]), mode, boundary)
         ctx._origin_pos = boundary.locate(contact)
         return ctx

@@ -218,6 +218,8 @@ def test_prune_matches_sequential_lp_reference():
                        lam * pick() + (1.0 - lam) * pick()])      # on a face
         X = X[rng.permutation(len(X))]
         assert prune_positive_hull(X).tobytes() == _prune_reference(X).tobytes()
+        assert (canonicalize_pl(PLAntinorm(X)).functionals.tobytes()
+                == _prune_reference(np.unique(X, axis=0), 1e-9).tobytes())
 
 
 @pytest.mark.parametrize("d", [3, 4])

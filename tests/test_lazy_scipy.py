@@ -93,6 +93,18 @@ def test_exprs_linprog_is_the_redundancy_lp(monkeypatch):
     assert plain.shape == (3, 3)
 
 
+def test_canonicalize_pl_solves_an_lp_only_for_rows_no_certificate_decides(monkeypatch):
+    # twelve extreme rows on the surface prod a_i = 1, and four rows above them
+    rng = np.random.default_rng(3)
+    P = rng.lognormal(0.0, 0.5, (12, 2))
+    P = np.hstack([P, 1.0 / np.prod(P, axis=1, keepdims=True)])
+    X = np.vstack([P, 1.3 * P[:4] + 0.1])
+    calls = _count_calls(monkeypatch, exprs, "linprog")
+    kept = canonicalize_pl(PLAntinorm(X)).functionals
+    assert len(calls) < len(X)
+    assert np.array_equal(kept, np.unique(P, axis=0))
+
+
 def test_geometry_linprog_is_the_positive_hull_lp(monkeypatch):
     V = [[1.0, 0.2, 0.3], [0.2, 1.0, 0.4], [0.3, 0.4, 1.0], [0.6, 0.6, 0.6]]
     X = [[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.7, 0.6, 0.7], [2.0, 0.1, 0.3]]

@@ -168,17 +168,18 @@ def test_theta_of_point_module_function():
 
 
 def _inversion_contexts():
-    # side "lower": on the upper split the area table reaches ~1.5e6 before
-    # the contact, so theta = position - origin keeps only ~1e-10 absolutely
     apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    split = ConeSplitAntinorm(catalog("circle_arc"), apex, side="lower", grid_n=4096)
+    split = [ConeSplitAntinorm(catalog("circle_arc"), apex, side=side, grid_n=4096)
+             for side in ("lower", "upper")]
     # sqrt2xy's integrand is the constant 1/2, so its cell interpolant is exact
     return [(TrigContext.build(catalog("sqrt2xy")), True),
             (TrigContext.build(ProductAntinorm.selfdual([0.3, 0.7])), False),
-            (TrigContext.build(split), False)]
+            (TrigContext.build(split[0]), False),
+            (TrigContext.build(split[1]), False)]
 
 
-@pytest.mark.parametrize("ctx, exact", _inversion_contexts(), ids=["sqrt2xy", "product", "cone_split"])
+@pytest.mark.parametrize("ctx, exact", _inversion_contexts(),
+                         ids=["sqrt2xy", "product", "cone_split", "cone_split_upper"])
 def test_batched_inversion_is_one_antinorm_call_and_inverts_theta(ctx, exact):
     lo, hi = ctx.theta_range()   # the tau window ends the range of some below 3
     thetas = np.linspace(max(lo, -3.0), min(hi - 0.01, 3.0), 25)
