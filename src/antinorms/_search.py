@@ -8,7 +8,8 @@ package.  Callers:
   ``duality._dual2_batch``, the supergradients of 2-d
   ``exprs.NumericDualAntinorm`` and ``exprs.ConeSplitAntinorm``; skipped at a
   kink on a table node), ``selfdual.closest_antisphere_point`` (stationary
-  radius) and ``dynamics.lsr_lower_certificate`` (stationary ratio).
+  radius), ``dynamics.lsr_lower_certificate`` (stationary ratio) and
+  ``trig.TrigContext._literal_positions`` (every literal theta of a batch).
 * ``logit_points``: ``exprs._Arc``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
@@ -23,8 +24,7 @@ package.  Callers:
   ``geometry._lp_redundant`` (``prune_positive_hull``), each only for the
   rows no certificate decides, and ``geometry.positive_hull_value``;
   ``minimize``: ``duality._dual_nd``; ``brentq``:
-  ``trig._SmoothBoundary.point_at`` (on a cell polynomial) and
-  ``trig.TrigContext._point_at`` (literal mode).
+  ``trig._SmoothBoundary.point_at`` (on a cell polynomial).
 
 These three are the package's only import of scipy, made on the first call:
 ``scipy.optimize`` takes about 0.6 s to import, longer than most CLI

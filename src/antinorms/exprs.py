@@ -169,13 +169,6 @@ class PLAntinorm(Antinorm):
     def _grads(self, X):
         return self.functionals[np.argmin(X @ self.functionals.T, axis=1)]
 
-    def active_functionals(self, x):
-        """Rows attaining the minimum at ``x`` within 1e-9 (relative)."""
-        p = as_point(x, self.dim)
-        vals = self.functionals @ p
-        m = vals.min()
-        return self.functionals[vals <= m + 1e-9 * (1.0 + abs(m))]
-
     def __repr__(self):
         return f"PLAntinorm(dim={self.dim}, n={self.functionals.shape[0]})"
 
@@ -530,8 +523,10 @@ class NumericDualAntinorm(Antinorm):
     d >= 3 descents must agree before the search stops.  That search's
     largest budget is the program's choice, ``duality._INNER_BUDGET``, a
     smaller one than ``dual_numeric``'s since every value is a search.
-    In d = 2 the supergradient at p is the inner antisphere point that
-    attains f*(p) (Danskin); in d >= 3 it is the base class's estimate.
+    In d = 2 the instance builds the inner arc of ``_dual2_batch`` once and
+    one support query gives both f*(p) and its supergradient, the inner
+    antisphere point that attains it (Danskin); in d >= 3 the supergradient
+    is the base class's estimate.
     """
 
     def __init__(self, inner, tol=DEFAULT.dual):
@@ -540,18 +535,21 @@ class NumericDualAntinorm(Antinorm):
         self.inner = inner
         self.tol = float(tol)
         self.dim = inner.dim
+        if self.dim == 2:
+            self._arc = _Arc(inner, _DUAL_U)
 
     def _values(self, X):
-        from .duality import _INNER_BUDGET, _dual2_batch, _dual_nd  # duality imports exprs
-
         if self.dim == 2:
-            return _dual2_batch(self.inner, X)
+            return self._arc.support(X)[0]
+        from .duality import _INNER_BUDGET, _dual_nd  # duality imports exprs
+
         return _dual_nd(self.inner, X, self.tol, _INNER_BUDGET)
 
     def _grads(self, X):
-        if self.dim == 2:
-            return _Arc(self.inner, _DUAL_U).support(X)[1]
-        return super()._grads(X)
+        return self._arc.support(X)[1] if self.dim == 2 else super()._grads(X)
+
+    def _values_grads(self, X):
+        return self._arc.support(X) if self.dim == 2 else super()._values_grads(X)
 
     def settings(self):
         return {"tol": self.tol}

@@ -18,6 +18,12 @@ conventions are implemented:
   linked pointwise by  theta_literal = xi * eta - theta_sector  in frame
   coordinates.
 
+Each boundary (a polyline for PL antinorms, a quadrature table otherwise)
+works on batches: ``locate`` maps points to sector positions (NaN where a
+point has none) and ``point_at`` in-range positions to points.  Theta
+becomes a position by a shift in sector mode and by one ``bracket_root``
+over all rows in literal mode.
+
 Orientation: theta grows toward the OY side of the contact ray, which
 makes sinh_G of the hyperbola agree in sign with the classical sinh.
 
@@ -30,13 +36,12 @@ angle, the identity is exactly <P_theta, q> = 1, i.e. tangency.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
-from ._search import brentq
+from ._search import bracket_root, brentq
 from .errors import DimensionMismatchError, ThetaRangeError
 from .exprs import PLAntinorm, as_pl, as_point
 from .geometry import ConicPolytope
@@ -56,11 +61,6 @@ _GL_X, _GL_W = leggauss(16)   # nodes and weights of every sector-area quadratur
 # ---------------------------------------------------------------------------
 # boundary parametrizations
 # ---------------------------------------------------------------------------
-
-def _cross2(a, b):
-    """2-D cross product a x b = a_0 b_1 - a_1 b_0."""
-    return float(a[0] * b[1] - a[1] * b[0])
-
 
 class _PolylineBoundary:
     """Antisphere of a PL antinorm: vertex chain plus two closing rays.
@@ -93,37 +93,31 @@ class _PolylineBoundary:
         return self.V
 
     def locate(self, P):
-        """Sector position of a point on the boundary, on its nearest piece."""
-        t = np.clip(np.einsum("ij,ij->i", P - self._a, self._d) / self._L2, 0.0, self._end)
-        res = np.linalg.norm(P - (self._a + t[:, None] * self._d), axis=1)
-        j = int(np.argmin(res))
-        if res[j] > 1e-7 * (1.0 + float(np.linalg.norm(P))):
-            raise ThetaRangeError(f"point {P.tolist()} is not on the antisphere")
-        return float(self._start[j] + t[j] * self._rate[j])
+        """Sector position of each row of P on its nearest piece; NaN where
+        that piece is farther than 1e-7 (relative)."""
+        t = np.clip(np.einsum("ijk,jk->ij", P[:, None] - self._a, self._d) / self._L2,
+                    0.0, self._end)
+        res = np.linalg.norm(P[:, None] - (self._a + t[..., None] * self._d), axis=2)
+        j = np.argmin(res, axis=1)
+        rows = np.arange(len(P))
+        pos = self._start[j] + t[rows, j] * self._rate[j]
+        return np.where(res[rows, j] <= 1e-7 * (1.0 + np.linalg.norm(P, axis=1)), pos, np.nan)
 
     def range(self):
         lo = self.T[-1] - (math.inf if self.trail_rate > 1e-15 else 0.0)
         hi = self.T[0] + (math.inf if self.lead_rate > 1e-15 else 0.0)
         return lo, hi
 
-    def point_at(self, pos):
-        lo, hi = self.range()
-        if not (lo - 1e-12 <= pos <= hi + 1e-12):
-            raise ThetaRangeError(f"sector position {pos} outside [{lo}, {hi}]")
-        if pos >= self.T[0]:
-            if self.lead_rate <= 1e-15:
-                return self.V[0].copy()
-            return self.V[0] + np.array([0.0, (pos - self.T[0]) / self.lead_rate])
-        if pos <= self.T[-1]:
-            if self.trail_rate <= 1e-15:
-                return self.V[-1].copy()
-            return self.V[-1] + np.array([(self.T[-1] - pos) / self.trail_rate, 0.0])
-        i = int(np.searchsorted(-self.T, -pos, side="right")) - 1
-        i = min(max(i, 0), len(self.V) - 2)
-        a, b = self.V[i + 1], self.V[i]
-        span = _cross2(a, b)
-        t = (pos - self.T[i + 1]) / span if span != 0 else 0.0
-        return a + np.clip(t, 0.0, 1.0) * (b - a)
+    def point_at(self, q):
+        """The point at each in-range position: on the leading ray above
+        T[0], on the trailing ray below T[-1], else on the chord holding
+        it.  A piece whose rate is at most 1e-15 is the point it starts at."""
+        n = len(self.V)
+        chord = np.clip(np.searchsorted(-self.T, -q, side="right") - 1, 0, n - 2)
+        j = np.where(q >= self.T[0], n, np.where(q <= self.T[-1], n - 1, chord))
+        rate = self._rate[j]
+        t = np.divide(q - self._start[j], rate, out=np.zeros(len(q)), where=np.abs(rate) > 1e-15)
+        return self._a[j] + np.clip(t, 0.0, self._end[j])[:, None] * self._d[j]
 
 
 class _SmoothBoundary:
@@ -137,8 +131,9 @@ class _SmoothBoundary:
     The cell areas are summed outward from the cell of the ``contact``
     direction, whose left end is position 0, so positions near the contact
     keep their digits however large the area toward an axis grows.
-    The grid spans tau in [-L, L]; positions beyond the grid raise, which
-    only truncates antinorms whose sector area diverges toward an axis.
+    The grid spans tau in [-L, L]; positions beyond the grid are out of
+    range, which only truncates antinorms whose sector area diverges toward
+    an axis.
     """
 
     L = 16.0
@@ -155,7 +150,7 @@ class _SmoothBoundary:
         coef = vals @ (legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5))
         self.anti = legint(coef, lbnd=-1, axis=1) * self.half[:, None]
         area = self.anti.sum(axis=1)   # P_k(1) = 1
-        c = self._cell(self._tau(contact))
+        c = int(self._cells(contact[None])[0][0])
         self.cum = np.concatenate([-np.cumsum(area[:c][::-1])[::-1], [0.0], np.cumsum(area[c:])])
 
     def _integrand(self, tau):
@@ -166,48 +161,43 @@ class _SmoothBoundary:
         return r2 / (2.0 * np.cosh(tau))
 
     def _pos(self, i, tau):
-        return self.cum[i] + legval((tau - self.mid[i]) / self.half[i], self.anti[i])
+        """Position at tau in cell i, for a cell and tau or one of each per row."""
+        x = (tau - self.mid[i]) / self.half[i]
+        return self.cum[i] + legval(x, self.anti[i].T, tensor=False)
+
+    def _cells(self, P):
+        """Cell and tau (clipped to the grid) of each row's direction; tau is
+        NaN outside the open orthant."""
+        phi = np.arctan2(P[:, 1], P[:, 0])
+        inside = (0.0 < phi) & (phi < math.pi / 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.where(inside, np.clip(np.log(np.tan(phi)), -self.L, self.L), np.nan)
+        return np.clip(np.searchsorted(self.taus, tau) - 1, 0, self.N - 2), tau
 
     def corners(self):
         return np.empty((0, 2))
 
     def locate(self, P):
-        tau = self._tau(P)
-        return self._pos(self._cell(tau), tau)
-
-    def _tau(self, P):
-        phi = math.atan2(P[1], P[0])
-        if not (0.0 < phi < math.pi / 2):
-            raise ThetaRangeError("point direction leaves the open orthant")
-        return float(np.clip(math.log(math.tan(phi)), -self.L, self.L))
-
-    def _cell(self, tau):
-        return max(min(int(np.searchsorted(self.taus, tau)) - 1, self.N - 2), 0)
+        """Sector position of each row of P; NaN outside the open orthant."""
+        return self._pos(*self._cells(P))
 
     def range(self):
-        return float(self.cum[0] - 0.0), float(self.cum[-1])
+        return float(self.cum[0]), float(self.cum[-1])
 
-    def point_at(self, pos):
-        """The point at each position; NaN rows outside the table, where a
-        single position raises."""
-        q = np.atleast_1d(np.asarray(pos, dtype=float))
-        ok = (self.cum[0] - 1e-12 <= q) & (q <= self.cum[-1] + 1e-12)
-        if np.ndim(pos) == 0 and not ok[0]:
-            raise ThetaRangeError(f"sector position {pos} outside the tabulated range")
-        tau = np.full(q.shape, np.nan)
-        for r in np.nonzero(ok)[0]:
-            i = max(min(int(np.searchsorted(self.cum, q[r])) - 1, self.N - 2), 0)
+    def point_at(self, q):
+        """The point at each in-range position: the root of its cell's
+        position polynomial, then one antinorm call for all rows."""
+        tau = np.empty(len(q))
+        for r, i in enumerate(np.clip(np.searchsorted(self.cum, q) - 1, 0, self.N - 2)):
             lo, hi = self.taus[i], self.taus[i + 1]
             glo, ghi = self._pos(i, lo) - q[r], self._pos(i, hi) - q[r]
             if glo > 0 or ghi < 0:  # numerical slack at bin edges
                 tau[r] = lo if abs(glo) < abs(ghi) else hi
             else:
                 tau[r] = brentq(lambda t: self._pos(i, t) - q[r], lo, hi, xtol=1e-14)
-        phi = np.arctan(np.exp(tau[ok]))
+        phi = np.arctan(np.exp(tau))
         U = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        P = np.full((len(q), 2), np.nan)
-        P[ok] = U / self.f._values(U)[:, None]
-        return P[0] if np.ndim(pos) == 0 else P
+        return U / self.f._values(U)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +212,8 @@ class TrigContext:
     contact: np.ndarray
     frame_angle: float
     mode: str = "sector"
-    _boundary: object = field(default=None, repr=False)
-    _origin_pos: float = field(default=0.0, repr=False)
+    _boundary: object = field(init=False, repr=False)
+    _origin_pos: float = field(init=False, repr=False)
 
     @classmethod
     def build(cls, f, mode="sector"):
@@ -233,9 +223,11 @@ class TrigContext:
             raise ValueError("mode must be 'sector' or 'literal'")
         contact = as_point(closest_antisphere_point(f)[0], 2)
         pl = as_pl(f)
-        boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f, contact)
-        ctx = cls(f, contact, math.atan2(contact[1], contact[0]), mode, boundary)
-        ctx._origin_pos = boundary.locate(contact)
+        ctx = cls(f, contact, math.atan2(contact[1], contact[0]), mode)
+        ctx._boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f, contact)
+        ctx._origin_pos = float(ctx._boundary.locate(contact[None])[0])
+        if math.isnan(ctx._origin_pos):
+            raise ThetaRangeError("the contact point direction leaves the open orthant")
         return ctx
 
     def frame_coords(self, P):
@@ -249,72 +241,68 @@ class TrigContext:
         fp = self.f.value(P)
         if abs(fp - 1.0) > tol:
             raise ThetaRangeError(f"f(P) = {fp!r}; point is not on the antisphere")
-        return self._theta(P)
+        th = self._theta(P[None])[0]
+        if math.isnan(th):
+            raise ThetaRangeError(f"point {P.tolist()} has no place on the antisphere")
+        return th
 
     def _theta(self, P):
+        """Theta of each row of P, NaN where the boundary cannot place it."""
         th = self._boundary.locate(P) - self._origin_pos
-        if self.mode == "sector":
-            return th
-        xi, eta = self.frame_coords(P)
-        return xi * eta - th
+        return th if self.mode == "sector" else self._literal(P, th)
+
+    def _literal(self, P, th):
+        """Literal theta of the points P at sector theta th: xi * eta - th."""
+        xi_eta = self.frame_coords(P)
+        return xi_eta[:, 0] * xi_eta[:, 1] - th
+
+    def _literal_at(self, pos):
+        return self._literal(self._boundary.point_at(pos), pos - self._origin_pos)
 
     def theta_range(self):
         lo, hi = self._boundary.range()
-        lo, hi = lo - self._origin_pos, hi - self._origin_pos
-        if self.mode == "sector":
-            return lo, hi
-        out = []
-        for b in (lo, hi):
-            if math.isinf(b):
-                out.append(b)
-            else:
-                P = self._boundary.point_at(b + self._origin_pos)
-                xi, eta = self.frame_coords(P)
-                out.append(xi * eta - b)
-        return min(out), max(out)
+        ends = np.array([lo, hi])
+        th = ends - self._origin_pos
+        if self.mode == "literal":
+            finite = np.isfinite(ends)
+            th[finite] = self._literal_at(ends[finite])
+        return float(th.min()), float(th.max())
+
+    def _literal_positions(self, theta):
+        """Sector position of each literal theta, NaN where there is none.
+
+        Literal theta rises with the position and is 0 at the contact
+        (where xi * eta rounds to about 1e-16), so the condition is -theta
+        there exactly, and one ``bracket_root`` closes every row from the
+        contact to the range end on the row's side, at most 1e6 away, in at
+        most 64 steps.  It searches s = asinh(position - origin): the
+        bracket then closes to a few ulps of s, not of the far end.
+        """
+        o = self._origin_pos
+        lo, hi = self._boundary.range()
+        end = np.where(theta >= 0, min(hi, o + 1e6), max(lo, o - 1e6))
+        g_end = self._literal_at(end) - theta
+        neg = theta < 0
+        root = np.where(neg, -g_end, g_end) >= 0
+        s_end = np.where(theta == 0, 0.0, np.where(root, np.arcsinh(end - o), np.nan))
+        a, b = bracket_root(lambda s, rows: self._literal_at(o + np.sinh(s)) - theta[rows],
+                            np.where(neg, s_end, 0.0), np.where(neg, 0.0, s_end),
+                            np.where(neg, g_end, -theta), np.where(neg, -theta, g_end), 64)
+        return o + np.sinh(0.5 * (a + b))
 
     def point_at(self, theta):
         """P_theta; for an array of theta one row each, NaN where a single
-        theta would raise ``ThetaRangeError``.  Sector mode on a smooth
-        antisphere inverts all rows in one pass."""
-        batched = self.mode == "sector" and isinstance(self._boundary, _SmoothBoundary)
-        if np.ndim(theta) == 0 or batched:
-            return self._point_at(theta)
-        P = np.full((len(theta), 2), np.nan)
-        for r, t in enumerate(theta):
-            with suppress(ThetaRangeError):
-                P[r] = self._point_at(float(t))
-        return P
-
-    def _point_at(self, theta):
-        if self.mode == "sector":
-            return self._boundary.point_at(np.asarray(theta, dtype=float) + self._origin_pos)
+        theta would raise ``ThetaRangeError``.  All rows become positions
+        at once and one boundary call maps those in range to points."""
+        q = np.atleast_1d(np.asarray(theta, dtype=float))
+        pos = q + self._origin_pos if self.mode == "sector" else self._literal_positions(q)
         lo, hi = self._boundary.range()
-        lo = max(lo, self._origin_pos - 1e6)
-        hi = min(hi, self._origin_pos + 1e6)
-
-        def g(pos):
-            P = self._boundary.point_at(pos)
-            xi, eta = self.frame_coords(P)
-            return xi * eta - (pos - self._origin_pos) - theta
-
-        a, b = self._origin_pos, self._origin_pos
-        step = 0.5
-        if theta >= 0:
-            while g(min(b + step, hi)) < 0 and b < hi:
-                b = min(b + step, hi)
-                step *= 2
-            b = min(b + step, hi)
-        else:
-            while g(max(a - step, lo)) > 0 and a > lo:
-                a = max(a - step, lo)
-                step *= 2
-            a = max(a - step, lo)
-        ga, gb = g(a), g(b)
-        if ga * gb > 0:
-            raise ThetaRangeError(f"theta={theta} outside the achievable literal range")
-        pos = brentq(g, a, b, xtol=1e-13)
-        return self._boundary.point_at(pos)
+        ok = np.isfinite(pos) & (lo - 1e-12 <= pos) & (pos <= hi + 1e-12)
+        if np.ndim(theta) == 0 and not ok[0]:
+            raise ThetaRangeError(f"theta={theta} outside the {self.mode} range")
+        P = np.full((len(q), 2), np.nan)
+        P[ok] = self._boundary.point_at(pos[ok])
+        return P[0] if np.ndim(theta) == 0 else P
 
     def cosh_sinh(self, theta):
         """Frame abscissa and ordinate of P_theta, by monotone inversion."""
@@ -355,8 +343,11 @@ def _poles(ctx, P):
     pl = as_pl(ctx.f)
     if pl is None:
         return ctx.f._grads(P)
-    act = [pl.active_functionals(p) for p in P]
-    return np.array([a[0] if len(a) == 1 else [np.nan, np.nan] for a in act]).reshape(-1, 2)
+    V = P @ pl.functionals.T
+    m = V.min(axis=1, keepdims=True)
+    active = V <= m + 1e-9 * (1.0 + np.abs(m))   # within 1e-9 (relative) of the minimum
+    one = active.sum(axis=1) == 1
+    return np.where(one[:, None], pl.functionals[np.argmax(active, axis=1)], np.nan)
 
 
 def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
@@ -380,15 +371,13 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
     if np.isnan(P).any():
         raise ThetaRangeError("a theta lies outside the context's range")
     corners = ctx.corners()
-    near = [len(corners) > 0 and np.min(np.linalg.norm(corners - p, axis=1)) < 1e-4 for p in P]
-    Q = np.where(np.reshape(near, (-1, 1)), np.nan, _poles(ctx, P))
+    gap = np.linalg.norm(P[:, None] - corners, axis=2).min(axis=1, initial=np.inf)
+    Q = np.where((gap < 1e-4)[:, None], np.nan, _poles(ctx, P))
     res = np.where(np.isnan(Q[:, 0]), np.nan, np.inf)   # skipped, or inf until t* is found
     th_star = np.full(len(P), np.nan)
     inside = np.nonzero(np.all(np.isfinite(Q) & (Q >= 0), axis=1))[0]
-    for k, v in zip(inside, ctx_dual.f._values(Q[inside])):
-        if abs(v - 1.0) <= 1e-6:
-            with suppress(ThetaRangeError):
-                th_star[k] = ctx_dual._theta(Q[k])
+    on = inside[np.abs(ctx_dual.f._values(Q[inside]) - 1.0) <= 1e-6]
+    th_star[on] = ctx_dual._theta(Q[on])
     found = ~np.isnan(th_star)
     cs_star = ctx_dual.frame_coords(ctx_dual.point_at(th_star[found]))
     r = np.abs(np.sum(ctx.frame_coords(P[found]) * cs_star, axis=1) - 1.0)

@@ -71,8 +71,6 @@ DEFAULTED = [
     "svgplot._polyline(width)",
     "svgplot.render(curves)",
     "svgplot.render(points)",
-    "trig.TrigContext.__init__(_boundary)",
-    "trig.TrigContext.__init__(_origin_pos)",
     "trig.TrigContext.__init__(mode)",
     "trig.TrigContext.build(mode)",
     "trig.TrigContext.theta_of_point(tol)",

@@ -160,6 +160,15 @@ def test_trig_command_csv(files, capsys):
         assert r <= 1e-7
 
 
+def test_trig_svg_draws_the_antisphere(files):
+    tmp, write = files
+    svg = str(tmp / "h.svg")
+    assert main(["trig", "--antinorm", write("h.json", expr_to_dict(catalog("sqrt2xy"))),
+                 "--theta-range", "-1:1:3", "--svg", svg, "--output", str(tmp / "h.csv"),
+                 "--quiet"]) == 0
+    assert "<polyline" in open(svg).read()
+
+
 def test_trig_without_dual_context_keeps_values(files):
     tmp, write = files
     for name, spec, finite in [("min_eps", "-1.5:1.5:7", [True] * 7),

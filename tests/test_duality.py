@@ -309,6 +309,20 @@ def test_arc_of_a_cone_split_queries_its_k1_arc_once():
     assert np.allclose(arc.normals * np.hypot(*f._grads(X).T)[:, None], f._grads(X), rtol=1e-14)
 
 
+def test_numeric_dual_2d_builds_one_inner_arc(monkeypatch):
+    built = []
+    init = _Arc.__init__
+    monkeypatch.setattr(_Arc, "__init__", lambda self, f, u: built.append(f) or init(self, f, u))
+    f = catalog("sqrt2xy")
+    fstar = NumericDualAntinorm(f)
+    P = np.random.default_rng(4).lognormal(0.0, 1.0, (5, 2))
+    v, G = fstar._values(P), fstar._grads(P)
+    v2, G2 = fstar._values_grads(P)
+    assert built == [f]
+    assert np.array_equal(v, v2) and np.array_equal(G, G2)
+    assert np.array_equal(v, duality._dual2_batch(f, P))
+
+
 @pytest.mark.parametrize("f", [catalog("sqrt2xy"), ProductAntinorm.selfdual([0.3, 0.7])],
                          ids=["sqrt2xy", "product"])
 def test_numeric_dual_grads_2d_are_the_attaining_points(f):

@@ -217,3 +217,34 @@ def test_identity_reports_each_residual():
     poly = construct2(AutopolarSeed(1, math.atan2(0.8, 0.6)))
     rep = identity_check(TrigContext.build(poly.antinorm()), thetas=[0.0, 0.3])
     assert math.isnan(rep.residuals[0]) and rep.residuals[1] <= 1e-7   # theta = 0 is the corner A0
+
+
+def test_pl_point_at_maps_a_batch_in_one_boundary_call():
+    ctx = TrigContext.build(K1.antinorm())
+    calls = []
+    point_at = ctx._boundary.point_at
+    ctx._boundary.point_at = lambda q: calls.append(np.size(q)) or point_at(q)
+    P = ctx.point_at(np.array([-1.0, 0.05, 0.2, 0.6, 0.76]))
+    assert calls == [4] and np.isnan(P[4]).all()   # 0.76 is past the range end 0.75
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["pl", "min"])
+def test_literal_theta_zero_is_the_contact(rows):
+    # xi * eta at the contact rounds to ~1e-16 rather than 0
+    ctx = TrigContext.build(PLAntinorm(rows), mode="literal")
+    assert np.allclose(ctx.point_at(0.0), ctx.contact, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("f", [
+    construct2(random_autopolar_seed(5, np.random.default_rng(3))).antinorm(),
+    ProductAntinorm.selfdual([0.3, 0.7]),
+    ConeSplitAntinorm(catalog("circle_arc"), np.array([1.0, 1.0]) / math.sqrt(2.0),
+                      side="lower", grid_n=4096),
+], ids=["autopolar", "product", "cone_split"])
+def test_literal_batch_round_trips(f):
+    ctx = TrigContext.build(f, mode="literal")
+    lo, hi = ctx.theta_range()
+    thetas = np.linspace(max(lo, -3.0), min(hi, 3.0), 13)[1:-1]
+    back = np.array([ctx.theta_of_point(p) for p in ctx.point_at(thetas)])
+    assert np.max(np.abs(back - thetas)) <= 1e-12
