@@ -11,9 +11,9 @@ provides desk-scale bounds and diagnostics:
   rho is invariant under cyclic shifts.  Each word value is a
   Collatz-Wielandt bound on rho rounded up, so it does not rest on the
   eigensolver; on reducible products it bounds each diagonal block of the
-  Frobenius normal form.  The words of one length go through one stacked
-  product and eigensolve (``_word_values``), in chunks; the work guard
-  counts the matrix products the search does.
+  Frobenius normal form.  A depth-first walk of the prenecklace tree forms
+  each product once from its parent's (``_extend``), and the necklaces are
+  bounded in stacks with one eigensolve each (``_word_bounds``).
 * ``lsr_lower_certificate`` -- the certified bound gamma(f) =
   inf_x min_A f(Ax)/f(x) for a supplied antinorm f; any antinorm gives a
   valid lower bound.  For piecewise-linear f the infimum is attained at the
@@ -26,11 +26,11 @@ provides desk-scale bounds and diagnostics:
   of the iterate is the antinorm iterate min_A f_k(A x) for the original
   family).  Run directly on primal vertices the iteration freezes whenever
   the start body has vertices on invariant coordinate axes, which is why
-  the dual side is used.  Returns the final body plus a gamma bracket
-  rounded outward: the upper end is certified (best realized word, rounded
-  up as in ``lsr_upper``), the lower end discounts the best word's nearest
-  value by the observed stabilization residual of the support ratios, is
-  rounded down, and is a diagnostic, not a certificate.
+  the dual side is used.  Vertices carry their words' products.  Returns
+  the final body plus a gamma bracket rounded outward: the upper end is
+  certified (best realized word, rounded up as in ``lsr_upper``); the lower
+  end discounts the best word's nearest value by the support ratios'
+  stabilization residual, is rounded down, and is not a certificate.
 * Lyapunov exponents of random products (Monte-Carlo with per-step sup-norm
   renormalization, all trials advanced as one stack) and Lyapunov-antinorm /
   continuous-time switching checks.
@@ -38,6 +38,7 @@ provides desk-scale bounds and diagnostics:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -148,27 +149,6 @@ class LSRBoundReport(Report):
 # word enumeration upper bound
 # ---------------------------------------------------------------------------
 
-def _necklaces(n, m):
-    """All necklace representatives of length n over an m-letter alphabet
-    (Fredricksen-Kessler-Maiorana generation)."""
-    a = [0] * (n + 1)
-    out = []
-
-    def gen(t, p):
-        if t > n:
-            if n % p == 0:
-                out.append(tuple(a[1:n + 1]))
-            return
-        a[t] = a[t - p]
-        gen(t + 1, p)
-        for j in range(a[t - p] + 1, m):
-            a[t] = j
-            gen(t + 1, t)
-
-    gen(1, 1)
-    return out
-
-
 _U = 2.0 ** -53              # unit roundoff of IEEE double precision
 _CW_FLOOR = 2.0 ** -60       # floor on Collatz-Wielandt test vector entries
 
@@ -221,36 +201,38 @@ def _block_bounds(P, S):
     return out
 
 
-def _word_values(mats, words):
-    """(nearest, upper) lists of rho(Pi_w)^{1/k} for the rows w of the (N, k)
-    array ``words``, Pi_w applying w[0] first.
-
-    The N products are built as one stack, each renormalized by powers of
-    two (exact scaling).  ``nearest`` takes the eigensolver's spectral
-    radius.  ``upper`` is a rigorous bound that does not trust the
-    eigensolver: Collatz-Wielandt, rho(P) <= max_i (P v)_i / v_i for any
-    v > 0, with v the computed right Perron vector floored at 2^-60.  Where
-    that is loose the left Perron vector is tried, and where both are (a
-    reducible product, whose Perron vectors have zeros) the max over the
-    diagonal blocks of its Frobenius normal form (``_block_bounds``); a
-    nilpotent product gets exactly 0.  The k-th root is taken per word in
-    scalar ``math.log``/``math.exp``, whose one-ulp accuracy ``_margin``
-    assumes, and rounded up by ``_margin`` and one more ulp.
+def _extend(mats, P, exp2, letters):
+    """The stack P (N, d, d) of products P * 2^exp2, each left-multiplied by
+    mats[letters[i]] and renormalized by powers of two (exact scaling) that
+    add to ``exp2`` (updated in place).  The one place products are formed.
     """
-    words = np.asarray(words, dtype=np.intp)
-    k = words.shape[1]
+    P = mats[letters] @ P
+    s = np.max(P, axis=(1, 2))
+    scale = (s > 1e100) | ((s > 0) & (s < 1e-100))
+    if np.any(scale):
+        e = np.frexp(s[scale])[1]
+        P[scale] = np.ldexp(P[scale], -e[:, None, None])
+        exp2[scale] += e
+    return P, exp2
+
+
+def _word_bounds(mats, P, exp2, words):
+    """(nearest, upper) lists of rho(Pi_w)^{1/|w|} for the words w, a list
+    of letter sequences of any lengths, with Pi_w = P * 2^exp2 row by row.
+
+    One eigensolve serves the whole stack.  ``nearest`` takes the
+    eigensolver's spectral radius.  ``upper`` is a rigorous bound that does
+    not trust the eigensolver: Collatz-Wielandt, rho(P) <= max_i (P v)_i / v_i
+    for any v > 0, with v the computed right Perron vector floored at 2^-60.
+    Where that is loose the left Perron vector is tried, and where both are
+    (a reducible product, whose Perron vectors have zeros) the max over the
+    diagonal blocks of its Frobenius normal form (``_block_bounds``, on the
+    support built from the row's word); a nilpotent product gets exactly 0.
+    The k-th root is taken per word in scalar ``math.log``/``math.exp``,
+    whose one-ulp accuracy ``_margin`` assumes, and rounded up by
+    ``_margin`` and one more ulp.
+    """
     d = mats.shape[1]
-    P = mats[words[:, 0]]
-    exp2 = np.zeros(len(words), dtype=np.int64)
-    for t in range(k):
-        if t:
-            P = mats[words[:, t]] @ P
-        s = np.max(P, axis=(1, 2))
-        scale = (s > 1e100) | ((s > 0) & (s < 1e-100))
-        if np.any(scale):
-            e = np.frexp(s[scale])[1]
-            P[scale] = np.ldexp(P[scale], -e[:, None, None])
-            exp2[scale] += e
     cw, rho = _collatz_wielandt(P)
     loose = cw > rho * (1.0 + 1e-12)
     if np.any(loose):   # right Perron vector has zeros: try the left one
@@ -258,22 +240,36 @@ def _word_values(mats, words):
         loose &= cw > rho * (1.0 + 1e-12)
     if np.any(loose):
         support = mats > 0
-        S = support[words[loose, 0]]
-        for t in range(1, k):
-            S = support[words[loose, t]] @ S
-        cw[loose] = np.minimum(cw[loose], _block_bounds(P[loose], S))
+        S = [functools.reduce(lambda acc, a: support[a] @ acc, words[n][1:], support[words[n][0]])
+             for n in np.nonzero(loose)[0]]
+        cw[loose] = np.minimum(cw[loose], _block_bounds(P[loose], np.array(S)))
     near, upper = [], []
-    for c, r, e in zip(cw.tolist(), rho.tolist(), exp2.tolist()):
+    for c, r, e, w in zip(cw.tolist(), rho.tolist(), exp2.tolist(), words):
         if c <= 0.0:
             near.append(0.0)
             upper.append(0.0)
             continue
-        log2 = math.log(2.0) * e
+        k, log2 = len(w), math.log(2.0) * e
         near.append(math.exp((math.log(r) + log2) / k) if r > 0 else 0.0)
         L = (abs(math.log(c)) + abs(log2)) / k
         up = math.exp((math.log(c) + log2) / k) * (1.0 + _margin(d, L))
         upper.append(math.nextafter(up, math.inf))
     return near, upper
+
+
+def _identities(n, d):
+    """n empty words for ``_extend``: identity products with exponent 0."""
+    return np.broadcast_to(np.eye(d), (n, d, d)), np.zeros(n, dtype=np.int64)
+
+
+def _word_values(mats, words):
+    """``_word_bounds`` of the rows w of the (N, k) array ``words``, Pi_w
+    applying w[0] first, formed letter by letter with ``_extend``."""
+    words = np.asarray(words, dtype=np.intp)
+    P, exp2 = _identities(len(words), mats.shape[1])
+    for letters in words.T:
+        P, exp2 = _extend(mats, P, exp2, letters)
+    return _word_bounds(mats, P, exp2, words.tolist())
 
 
 def _round_down(x, d):
@@ -282,7 +278,8 @@ def _round_down(x, d):
 
 
 def _word_products(m, max_len):
-    """Matrix products the necklace search does: k per necklace of length k.
+    """Matrix products of forming every necklace up to max_len on its own, k
+    per necklace of length k; they bound the products the tree walk forms.
 
     By Burnside, k times the number of length-k necklaces over m letters is
     sum_{i=1..k} m^gcd(i, k).
@@ -290,7 +287,7 @@ def _word_products(m, max_len):
     return sum(m ** math.gcd(i, k) for k in range(1, max_len + 1) for i in range(1, k + 1))
 
 
-_CHUNK = 4096   # words per stacked evaluation in ``lsr_upper``
+_CHUNK = 4096   # products per stack in ``lsr_upper``
 
 
 def lsr_upper(family, max_len=8):
@@ -298,37 +295,67 @@ def lsr_upper(family, max_len=8):
 
     rho(Pi)^{1/k} >= rho_check for every product, so the minimum is a valid
     upper bound; it is exact for families with an optimal periodic word of
-    length <= max_len.  Words are enumerated over necklace representatives
-    because cyclic shifts leave the spectral radius unchanged.  The words of
-    one length are evaluated as stacks of at most 4,096 products
-    (``_word_values``, one batched product and eigensolve each), so memory
-    stays bounded; each word value is a Collatz-Wielandt bound rounded up,
-    so the returned number is >= rho(Pi_w)^{1/|w|} of the exact product
-    despite rounding.  Ties within a relative 1e-15 keep the first word in
-    necklace order, so the bound scales with the family.
+    length <= max_len.  Only necklaces are bounded, since cyclic shifts
+    leave rho unchanged.  They are nodes of the prenecklace tree (Cattell et
+    al., J. Algorithms 37, 2000): a prenecklace w of length t and period p
+    has the children w + w[t - p] (period p) and w + j for j > w[t - p]
+    (period t + 1), and is a necklace iff p divides t.  The walk goes depth
+    first, 4,096 nodes at a time, so memory stays bounded, and forms each
+    node's product from its parent's by one ``_extend``; the necklaces go
+    through ``_word_bounds`` in stacks of at most 4,096.  Each value is a
+    Collatz-Wielandt bound rounded up, so the result is >= rho(Pi_w)^{1/|w|}
+    of the exact product.  Ties within a relative 1e-15 keep the first word
+    in (length, lexicographic) order, so the bound scales with the family.
 
-    The work guard counts the matrix products the search does (k per
-    necklace of length k) and raises ``ValueError`` above 5e6 before any word
-    is built; ``max_len`` = 8 admits families of up to 6 matrices.
+    The work guard bounds the products (k per necklace of length k: 596
+    for m = 2, max_len = 8, where the walk forms 167) and raises
+    ``ValueError`` above 5e6 before any word is built; ``max_len`` = 8
+    admits families of up to 6 matrices.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if family.allow_negative:
         raise NegativeCoordinateError("upper bounds require nonnegative matrices")
-    m = family.size
+    m, d, mats = family.size, family.dim, family.matrices
     if _word_products(m, max_len) > 5e6:
         raise ValueError("word enumeration too large; reduce max_len")
-    best = math.inf
-    best_word = ""
-    for k in range(1, max_len + 1):
-        words = np.array(_necklaces(k, m))
-        for lo in range(0, len(words), _CHUNK):
-            chunk = words[lo:lo + _CHUNK]
-            for word, val in zip(chunk.tolist(), _word_values(family.matrices, chunk)[1]):
-                if val < best * (1.0 - 1e-15):
-                    best = val
-                    best_word = "".join(_LETTERS[i] for i in word)
-    return best, best_word
+    stack, queue = [], [[], np.empty((0, d, d)), np.empty(0, dtype=np.int64)]
+    # per length, the words that lowered its running minimum: no other passes the tie test
+    lows = [[(math.inf, ())] for _ in range(max_len + 1)]
+
+    def bound(n):   # the first n queued necklaces, as one stack
+        words, P, exp2 = queue
+        for w, v in zip(words[:n], _word_bounds(mats, P[:n], exp2[:n], words[:n])[1]):
+            if v < lows[len(w)][-1][0]:
+                lows[len(w)].append((v, w))
+        queue[:] = words[n:], P[n:], exp2[n:]
+
+    def expand(W, p, P, exp2):   # W: (N, t + 1) prenecklaces after a 0 sentinel
+        base = W[np.arange(len(W)), W.shape[1] - p]
+        par, let = np.nonzero(np.arange(m) >= base[:, None])
+        for lo in reversed(range(0, len(par), _CHUNK)):
+            stack.append((W, p, P, exp2, base, par[lo:lo + _CHUNK], let[lo:lo + _CHUNK]))
+
+    expand(np.zeros((1, 1), dtype=np.intp), np.ones(1, dtype=np.intp), *_identities(1, d))
+    while stack:
+        W, p, P, exp2, base, i, j = stack.pop()
+        t = W.shape[1]
+        W, p = np.column_stack([W[i], j]), np.where(j == base[i], p[i], t)
+        P, exp2 = _extend(mats, P[i], exp2[i], j)
+        neck = t % p == 0
+        queue[:] = (queue[0] + W[neck, 1:].tolist(), np.concatenate([queue[1], P[neck]]),
+                    np.concatenate([queue[2], exp2[neck]]))
+        if len(queue[0]) >= _CHUNK:
+            bound(_CHUNK)
+        if t < max_len:
+            expand(W, p, P, exp2)
+    if queue[0]:
+        bound(len(queue[0]))
+    best, word = math.inf, ()
+    for v, w in (low for ls in lows for low in ls[1:]):   # (length, lexicographic) order
+        if v < best * (1.0 - 1e-15):
+            best, word = v, w
+    return best, "".join(_LETTERS[a] for a in word)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +474,10 @@ def invariant_body_iterate(family, P0, iters=12):
     by the residual between the accelerated support ratios and that value,
     capped by the nearest value rounded down; it converges to the word value
     when the iteration locks onto an optimal periodic word and is reported
-    as an estimate.  The bracket envelope only tightens with k.
+    as an estimate.  The bracket envelope only tightens with k.  Vertices
+    carry their words' products (one ``_extend`` per iteration); one
+    ``_word_bounds`` stack after the loop bounds them all, and the bracket
+    is replayed iteration by iteration.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -461,64 +491,53 @@ def invariant_body_iterate(family, P0, iters=12):
     if s0 <= 0:
         raise DegenerateBodyError("start body has a zero half-space functional")
     W = W / s0
-    words = [()] * W.shape[0]
+    m, d, mats = family.size, family.dim, family.matrices
+    words, (P, exp2) = [()] * len(W), _identities(len(W), d)
+    # (words, products, exponents) realized in each iteration, single letters first
+    realized = [([(j,) for j in range(m)], *_extend(mats, *_identities(m, d), np.arange(m)))]
     ratios = []
-    rho_words = {}
-
-    def word_values(words):
-        """(nearest, upper) of each word; the uncached ones, all of one
-        length, are evaluated in one stack."""
-        new = [w for w in dict.fromkeys(words) if w not in rho_words]
-        if new:
-            rho_words.update(zip(new, zip(*_word_values(family.matrices, new))))
-        return [rho_words[w] for w in words]
-
-    # gamma_high: best rounded-up word bound; gamma_near: best nearest value
-    gamma_near, gamma_high = map(min, zip(*word_values([(j,) for j in range(family.size)])))
-    gamma_low = 0.0
     stalled = False
-    k_done = 0
     for k in range(iters):
-        cand = np.concatenate([W @ A for A in family.matrices], axis=0)  # rows A^T w
-        cand_words = [w + (j,) for j in range(family.size) for w in words]
-        nonzero = np.max(np.abs(cand), axis=1) > 1e-300
-        cand = cand[nonzero]
-        cand_words = [cw for cw, nz in zip(cand_words, nonzero) if nz]
+        cand = np.concatenate([W @ A for A in mats], axis=0)  # row j n + i: A_j^T w_i
+        src = np.nonzero(np.max(np.abs(cand), axis=1) > 1e-300)[0]
+        cand = cand[src]
         if cand.shape[0] == 0:
             stalled = True
             break
         pruned = prune_positive_hull(cand)
         if pruned.shape[0] > 600:
             raise DegenerateBodyError(f"vertex explosion at iteration {k}")
-        # pruning only drops rows, so each survivor matches a candidate exactly
-        new_words = []
-        for row in pruned:
-            new_words.append(cand_words[int(np.argmin(np.max(np.abs(cand - row), axis=1)))])
         sup = float(np.min(pruned @ probe))
         if not np.isfinite(sup) or sup <= 0:
             stalled = True
             break
+        # pruning only drops rows, so each survivor is a candidate exactly: the first such
+        pick = src[np.argmax(np.all(cand == pruned[:, None], axis=2), axis=1)]
+        letter, parent = np.divmod(pick, len(W))
         ratios.append(sup)          # previous iterate was normalized to support 1
         W = pruned / sup
-        words = new_words
-        for near, upper in word_values(new_words):
-            gamma_near = min(gamma_near, near)
-            gamma_high = min(gamma_high, upper)
-        k_done = k + 1
+        words = [words[i] + (j,) for i, j in zip(parent.tolist(), letter.tolist())]
+        P, exp2 = _extend(mats, P[parent], exp2[parent], letter)
+        realized.append((words, P, exp2))
+    near, upper = _word_bounds(mats, *(np.concatenate([r[i] for r in realized]) for i in (1, 2)),
+                               [w for r in realized for w in r[0]])
+    # replayed per iteration: gamma_near, the best nearest value, and
+    # gamma_high, the best rounded-up word bound
+    ends = np.cumsum([len(r[0]) for r in realized]).tolist()
+    gamma_near, gamma_high, gamma_low = min(near[:m]), min(upper[:m]), 0.0
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        gamma_near, gamma_high = min([gamma_near, *near[lo:hi]]), min([gamma_high, *upper[lo:hi]])
         # stabilization estimate: two-step geometric means of the support
         # ratios (handles period-2 alternation), Aitken-accelerated
-        if len(ratios) >= 2:
-            g2 = [math.sqrt(ratios[i] * ratios[i + 1]) for i in range(len(ratios) - 1)]
-            est = aitken_limit(g2[-6:])
-        else:
-            est = ratios[-1]
+        r = ratios[:k + 1]
+        est = aitken_limit([math.sqrt(a * b) for a, b in zip(r, r[1:])][-6:]) if k else r[0]
         residual = abs(est / gamma_near - 1.0) if gamma_near > 0 else 1.0
         gamma_low = max(gamma_low, gamma_near * max(0.0, 1.0 - residual))
     return BodyIterationResult(
         gamma_low=min(gamma_low, _round_down(gamma_near, family.dim)),
         gamma_high=gamma_high,
         antinorm=PLAntinorm(np.maximum(W, 0.0)),
-        iterations=k_done,
+        iterations=len(ratios),
         support_ratios=ratios,
         stalled=stalled,
     )

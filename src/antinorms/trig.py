@@ -260,12 +260,13 @@ class TrigContext:
         return self._literal(self._boundary.point_at(pos), pos - self._origin_pos)
 
     def theta_range(self):
+        """Theta at the boundary's ends; a literal infinite end is taken where
+        ``_literal_positions`` caps it, 1e6 from the contact."""
         lo, hi = self._boundary.range()
-        ends = np.array([lo, hi])
-        th = ends - self._origin_pos
+        o = self._origin_pos
+        th = np.array([lo, hi]) - o
         if self.mode == "literal":
-            finite = np.isfinite(ends)
-            th[finite] = self._literal_at(ends[finite])
+            th = self._literal_at(np.array([max(lo, o - 1e6), min(hi, o + 1e6)]))
         return float(th.min()), float(th.max())
 
     def _literal_positions(self, theta):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -469,3 +470,146 @@ def test_lower_certificate_2d_refines_to_the_ratio_minimum(f, monkeypatch):
     fine = np.min(np.min(np.stack([f._values(X @ A.T) for A in fam.matrices]), axis=0)
                   / f._values(X))
     assert fine * (1.0 - 1e-11) <= gamma <= fine
+
+
+# ---------------------------------------------------------------------------
+# word products formed once: the prenecklace walk and the carried body words
+# ---------------------------------------------------------------------------
+
+def necklaces(k, m):
+    """Words of length k over m letters that equal their least rotation, in
+    lexicographic order."""
+    return [w for w in itertools.product(range(m), repeat=k)
+            if w == min(w[i:] + w[:i] for i in range(k))]
+
+
+def reference_lsr_upper(family, max_len):
+    """``lsr_upper`` with each necklace valued by its own ``_word_values`` call."""
+    from antinorms.dynamics import _word_values
+
+    best, word = math.inf, ""
+    for k in range(1, max_len + 1):
+        for w in necklaces(k, family.size):
+            up = _word_values(family.matrices, [w])[1][0]
+            if up < best * (1.0 - 1e-15):
+                best, word = up, "".join("ABCDEFGH"[i] for i in w)
+    return best, word
+
+
+def reference_body(family, P0, iters):
+    """``invariant_body_iterate`` with each realized word valued by its own
+    ``_word_values`` call: (gamma_low, gamma_high, support ratios, vertices)."""
+    from antinorms._search import aitken_limit
+    from antinorms.dynamics import _round_down, _word_values
+    from antinorms.geometry import prune_positive_hull
+
+    def value(w):
+        near, upper = _word_values(family.matrices, [w])
+        return near[0], upper[0]
+
+    probe = np.ones(family.dim)
+    W = np.array(P0.halfspaces, dtype=float)
+    W = W / float(np.min(W @ probe))
+    words = [()] * len(W)
+    gamma_near, gamma_high = map(min, zip(*(value((j,)) for j in range(family.size))))
+    gamma_low, ratios = 0.0, []
+    for _ in range(iters):
+        cand = np.concatenate([W @ A for A in family.matrices])
+        cand_words = [w + (j,) for j in range(family.size) for w in words]
+        keep = np.max(np.abs(cand), axis=1) > 1e-300
+        cand, cand_words = cand[keep], [w for w, k in zip(cand_words, keep) if k]
+        if not len(cand):
+            break
+        pruned = prune_positive_hull(cand)
+        sup = float(np.min(pruned @ probe))
+        if not np.isfinite(sup) or sup <= 0:
+            break
+        words = [cand_words[int(np.argmin(np.max(np.abs(cand - row), axis=1)))] for row in pruned]
+        ratios.append(sup)
+        W = pruned / sup
+        for near, upper in map(value, words):
+            gamma_near, gamma_high = min(gamma_near, near), min(gamma_high, upper)
+        if len(ratios) >= 2:
+            est = aitken_limit([math.sqrt(a * b) for a, b in zip(ratios, ratios[1:])][-6:])
+        else:
+            est = ratios[-1]
+        residual = abs(est / gamma_near - 1.0) if gamma_near > 0 else 1.0
+        gamma_low = max(gamma_low, gamma_near * max(0.0, 1.0 - residual))
+    return min(gamma_low, _round_down(gamma_near, family.dim)), gamma_high, ratios, W
+
+
+def record_word_bounds(monkeypatch):
+    """The words of each ``_word_bounds`` call, one list per call."""
+    from antinorms import dynamics
+
+    calls = []
+    word_bounds = dynamics._word_bounds
+
+    def recorded(mats, P, exp2, words):
+        calls.append([tuple(w) for w in words])
+        return word_bounds(mats, P, exp2, words)
+
+    monkeypatch.setattr(dynamics, "_word_bounds", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [8, 4096])
+def test_prenecklace_walk_lists_the_necklaces_in_order(chunk, monkeypatch):
+    from antinorms import dynamics
+
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    calls = record_word_bounds(monkeypatch)
+    for m in (1, 2, 3):
+        calls.clear()
+        lsr_upper(MatrixFamily(np.random.default_rng(m).uniform(0.1, 1.0, (m, 2, 2))), 7)
+        assert all(len(words) <= chunk for words in calls)
+        walked = [w for words in calls for w in words]
+        for k in range(1, 8):
+            assert [w for w in walked if len(w) == k] == necklaces(k, m)
+
+
+NILPOTENT = MatrixFamily([[[0.0, 1.0], [0.0, 0.0]], [[0.3, 0.9], [0.6, 0.2]]])
+UNDERFLOW = MatrixFamily([[[1e-170, 1.0], [0.0, 1e-170]]])
+# triangular: loose Perron vectors, so the walk's stack takes diagonal blocks
+TRIANGULAR = MatrixFamily([[[0.7, 0.38, 0.0], [0.0, 0.78, 0.0], [0.0, 0.0, 0.81]],
+                           np.diag([0.8, 0.7, 0.9])])
+REFERENCE_FAMILIES = [
+    (MatrixFamily(np.random.default_rng(11).uniform(0.0, 1.0, (2, 2, 2))), 8),
+    (MatrixFamily(np.random.default_rng(12).lognormal(0.0, 1.0, (3, 3, 3))), 5),
+    (DIAG, 6), (TRIANGULAR, 6), (NILPOTENT, 6), (UNDERFLOW, 6),
+    (MatrixFamily(np.random.default_rng(13).uniform(0.0, 1.0, (1, 3, 3))), 7),
+]
+
+
+@pytest.mark.parametrize("fam,max_len", REFERENCE_FAMILIES,
+                         ids=["random-m2", "lognormal-m3-d3", "diag", "triangular", "nilpotent",
+                              "underflow", "m1"])
+def test_word_searches_match_the_per_word_reference(fam, max_len):
+    assert lsr_upper(fam, max_len) == reference_lsr_upper(fam, max_len)
+    P0 = ConicPolytope.from_halfspaces([np.ones(fam.dim)])
+    res = invariant_body_iterate(fam, P0, iters=10)
+    gamma_low, gamma_high, ratios, W = reference_body(fam, P0, 10)
+    assert (res.gamma_low, res.gamma_high) == (gamma_low, gamma_high)
+    assert res.support_ratios == ratios and res.iterations == len(ratios)
+    assert np.array_equal(res.antinorm.functionals, PLAntinorm(np.maximum(W, 0.0)).functionals)
+
+
+def test_each_search_bounds_its_words_in_one_stack(monkeypatch):
+    calls = record_word_bounds(monkeypatch)
+    fam = MatrixFamily(np.random.default_rng(14).uniform(0.1, 1.0, (2, 2, 2)))
+    lsr_upper(fam, max_len=8)
+    assert [len(words) for words in calls] == [sum(len(necklaces(k, 2)) for k in range(1, 9))]
+    calls.clear()
+    res = invariant_body_iterate(fam, SIMPLEX, iters=10)
+    assert len(calls) == 1 and res.iterations == 10
+
+
+def test_lsr_upper_chunked_walk_keeps_value_and_word(monkeypatch):
+    from antinorms import dynamics
+
+    fams = [(MatrixFamily(np.random.default_rng(15).uniform(0.0, 1.0, (3, 2, 2))), 6),
+            (MatrixFamily(np.random.default_rng(16).lognormal(0.0, 1.0, (2, 3, 3))), 8),
+            (DIAG.scaled(1e-20), 4)]
+    whole = [lsr_upper(fam, max_len) for fam, max_len in fams]
+    monkeypatch.setattr(dynamics, "_CHUNK", 8)
+    assert [lsr_upper(fam, max_len) for fam, max_len in fams] == whole

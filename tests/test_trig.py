@@ -248,3 +248,25 @@ def test_literal_batch_round_trips(f):
     thetas = np.linspace(max(lo, -3.0), min(hi, 3.0), 13)[1:-1]
     back = np.array([ctx.theta_of_point(p) for p in ctx.point_at(thetas)])
     assert np.max(np.abs(back - thetas)) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    construct2(AutopolarSeed(0)).antinorm(),   # literal theta is 0 along its vertical ray
+    PLAntinorm([[1.0, 0.0], [0.0, 1.0]]),
+    PLAntinorm([[1.0, 2.0], [3.0, 1.0]]),
+    catalog("sqrt2xy"),
+], ids=["axis_contact", "min", "pl", "sqrt2xy"])
+def test_literal_range_is_what_point_at_reaches(f):
+    ctx = TrigContext.build(f, mode="literal")
+    lo, hi = ctx.theta_range()
+    probes = np.array([-1e12, -1e3, -1.0, -0.1, 0.1, 1.0, 1e3, 1e12])
+    inside = probes[(lo < probes) & (probes < hi)]
+    if np.isfinite(lo) and np.isfinite(hi):
+        inside = np.concatenate([inside, lo + (hi - lo) * np.array([1e-6, 0.25, 0.5, 0.75])])
+    assert np.isfinite(ctx.point_at(inside)).all()
+    outside = [t for t in (lo - 1.0 - abs(lo), hi + 1.0 + abs(hi), *probes)
+               if np.isfinite(t) and not lo <= t <= hi]
+    assert outside
+    for t in outside:
+        with pytest.raises(ThetaRangeError):
+            ctx.point_at(float(t))
