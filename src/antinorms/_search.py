@@ -13,10 +13,12 @@ package.  Callers:
 * ``logit_points``: ``exprs._Arc``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
   and CLI ``dual``.
-* ``simplex_grid``, always in d >= 3: ``duality._dual_nd``,
-  ``selfdual._probe_grid``, ``dynamics.lsr_lower_certificate`` and
-  ``geometry._extreme_by_direction`` (the certificate of
-  ``prune_positive_hull`` and ``exprs.canonicalize_pl``).
+* ``simplex_grid``, always in d >= 3, built once per (d, n) and shared
+  read-only: ``duality._dual_nd``, ``selfdual._probe_grid``,
+  ``dynamics.lsr_lower_certificate``, ``geometry._extreme_by_direction``
+  (the certificate of ``prune_positive_hull`` and
+  ``exprs.canonicalize_pl``) and ``geometry._lp_redundant`` (the direction
+  certificate against the kept rows, on ``_dual_nd``'s grid in d = 3, 4).
 * ``aitken_limit``: ``exprs.continuous_extension_eval``,
   ``dynamics.invariant_body_iterate``.
 * ``linprog``, ``minimize`` and ``brentq`` forward to ``scipy.optimize``.
@@ -34,6 +36,7 @@ scipy names, which keeps ``exprs.linprog`` and the like patchable.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -115,8 +118,13 @@ def logit_points(t):
     return np.stack([1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))], axis=-1)
 
 
+@functools.cache
 def simplex_grid(d, n):
-    """Lattice points of the unit simplex at resolution n, pushed interior."""
+    """Lattice points of the unit simplex at resolution n, pushed interior.
+
+    Built once per (d, n) and shared by every caller, so the array is
+    read-only.
+    """
     pts = []
     for bars in combinations(range(n + d - 1), d - 1):   # stars and bars
         prev, comp = -1, []
@@ -126,7 +134,9 @@ def simplex_grid(d, n):
         comp.append(n + d - 1 - prev - 1)
         pts.append(comp)
     pts = np.maximum(np.array(pts, dtype=float) / n, 1e-14)
-    return pts / pts.sum(axis=1, keepdims=True)
+    pts /= pts.sum(axis=1, keepdims=True)
+    pts.setflags(write=False)
+    return pts
 
 
 def aitken_limit(seq):

@@ -126,8 +126,14 @@ def _dual2_batch(f, P):
     return _Arc(f, _DUAL_U).support(np.atleast_2d(np.asarray(P, dtype=float)))[0]
 
 
-def _softmax(z):
-    """The point of the unit simplex with log-coordinates ``z`` up to a shift."""
+def _chart(z):
+    """The point softmax([z, 0]) of the unit simplex, for z in R^(d-1).
+
+    Fixing the last log-coordinate at 0 removes the shift along which
+    softmax is constant, a flat direction a search would explore for
+    nothing.
+    """
+    z = np.append(z, 0.0)
     x = np.exp(z - np.maximum.reduce(z))
     return x / np.add.reduce(x)
 
@@ -135,7 +141,7 @@ def _softmax(z):
 def _settled(f, p, x, m, tol):
     """Whether a descent minimum ``m`` at ``x`` may stop the search.
 
-    In softmax coordinates a face of the simplex is flat, so descents can
+    In chart coordinates a face of the simplex is flat, so descents can
     agree at a point on a face that is not the minimum.  A point with a
     coordinate below ``tol`` is accepted only when a supergradient g there
     certifies m: f(y) <= <g, y> on R^d_+ gives f*(p) >= min p_i/g_i over
@@ -159,10 +165,11 @@ def _dual_nd(f, P, tol, budget):
 
     ``budget`` is one of the module's ``(resolution, n_starts, maxiter)``
     constants.  One simplex grid of ``resolution`` and its (rows x grid)
-    ratio matrix serve every row.  Nelder-Mead descents run in softmax coordinates,
-    from the row's best grid point, then ``max(1, n_starts // 2)`` random
-    starts (the same ``default_rng(0)`` draws for every row), then the next
-    ``n_starts - 1`` grid points.  The ratio is quasiconvex, so a descent
+    ratio matrix serve every row.  Nelder-Mead descents run in the
+    (d - 1)-dimensional chart of ``_chart``, from the row's best grid
+    point, then ``max(1, n_starts // 2)`` random starts (the same
+    ``default_rng(0)`` draws for every row), then the next ``n_starts - 1``
+    grid points.  The ratio is quasiconvex, so a descent
     that converges finds the minimum, but Nelder-Mead can stall at a kink:
     a row stops once its two lowest descent minima agree within ``tol``
     relative, or within the descents' own resolution ``_NM_FATOL`` for a
@@ -183,12 +190,14 @@ def _dual_nd(f, P, tol, budget):
         ratios = np.where(fv > 0, num / np.where(fv > 0, fv, 1.0), np.inf)
     near = np.argsort(ratios, axis=1)[:, :max(n_starts, 1)]
     logs = np.log(grid)
+    logs = logs[:, :-1] - logs[:, -1:]
     randoms = np.random.default_rng(0).normal(0.0, 2.0, size=(max(1, n_starts // 2), d))
+    randoms = randoms[:, :-1] - randoms[:, -1:]
     out = np.empty(len(P))
     for i, p in enumerate(P):
 
         def objective(z):
-            x = _softmax(z)
+            x = _chart(z)
             val = f._values(x[None])[0]
             if val <= 0:
                 return 1e30
@@ -204,7 +213,7 @@ def _dual_nd(f, P, tol, budget):
                 lo, second = np.argsort(minima)[:2]
                 m = minima[lo]
                 if (minima[second] - m <= max(tol * abs(m), _NM_FATOL)
-                        and _settled(f, p, _softmax(ends[lo]), m, tol)):
+                        and _settled(f, p, _chart(ends[lo]), m, tol)):
                     break
         out[i] = min(ratios[i, near[i, 0]], *minima)
     return out

@@ -671,10 +671,10 @@ def canonicalize_pl(f):
     drops a_j when a point of the chord between its kept neighbours is
     <= a_j + tol * (1 + |a_j|_inf); in d >= 3 the rows are visited in
     lexicographic order and a_j is dropped when a convex combination of the
-    rows still kept is <= a_j + tol.  There the certificates of
-    ``prune_positive_hull`` decide most rows and ``_dominated_by_hull``
-    solves one LP for each row they leave open.  Either way the output is
-    deterministic.
+    rows still kept is <= a_j + tol.  There the single-row and direction
+    certificates of ``geometry._prune_in_order`` decide most rows and
+    ``_dominated_by_hull`` solves one LP for each row they leave open.
+    Either way the output is deterministic.
     """
     A = np.unique(f.functionals, axis=0)  # sorts lexicographically
     if A.shape[1] == 2:

@@ -278,8 +278,42 @@ def _prune_2d(points, tol):
 
 
 def _lp_redundant(v, others, tol):
-    n = others.shape[0]
+    """Whether a convex combination of ``others`` is <= v + tol componentwise.
+
+    Two exact certificates decide first, and one HiGHS LP (feasibility of
+    that combination) only for what they leave open:
+
+    * chord: some point of the chord between two rows a, b is <= v + tol.
+      Coordinate k bounds lam in (1 - lam) a + lam b <= v + tol from one
+      side, so every pair gives a closed-form interval, and all pairs are
+      checked in one pass; the interval's midpoint is then checked as a
+      witness, in that form, which for rows >= 0 has no cancellation (the
+      interval ends may have lost b - a to it).  Redundant.
+    * direction: along some y of ``simplex_grid`` v beats every row,
+      <y, v> + tol + 1e-6 (1 + |v|_inf) < min <y, others>: the argument and
+      margin of ``_extreme_by_direction``, against the rows passed here.
+      Not redundant.
+
+    Either verdict is the exact LP's, and HiGHS's wherever it solves the
+    LP, so the LP runs only where neither holds.  (On badly scaled rows
+    HiGHS can stop with an unknown status, which counts as not redundant;
+    a chord there is still a witness.)  The grid has resolution 64 in
+    d = 3 and 24 in d = 4 (the one ``duality._dual_nd`` uses), 16 above.
+    """
+    n, d = others.shape
     if n == 0:
+        return False
+    i, j = np.triu_indices(n, 1)
+    a, b = others[i], others[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (v + tol - a) / (b - a)
+    lo = np.max(np.where(b < a, r, 0.0), axis=1)
+    hi = np.min(np.where(b > a, r, 1.0), axis=1)
+    lam = 0.5 * (lo + hi)[:, None]
+    if np.any((lo <= hi) & np.all((1.0 - lam) * a + lam * b <= v + tol, axis=1)):
+        return True
+    Y = simplex_grid(d, {3: 64, 4: 24}.get(d, 16))
+    if np.any(np.min(others @ Y.T, axis=0) - Y @ v > tol + 1e-6 * (1.0 + np.max(np.abs(v)))):
         return False
     res = linprog(
         c=np.zeros(n),
@@ -303,7 +337,8 @@ def _extreme_by_direction(pts, tol):
     is >= the second smallest value.  The 1e-6 keeps the verdict through
     the LP solver's 1e-7 feasibility tolerance.  ``_prune_in_order`` keeps
     these rows without an LP, for ``prune_positive_hull`` and
-    ``exprs.canonicalize_pl``.
+    ``exprs.canonicalize_pl``; ``_lp_redundant`` repeats the argument on a
+    finer grid against the kept rows only.
     """
     if len(pts) < 2:
         return np.ones(len(pts), dtype=bool)
@@ -321,13 +356,16 @@ def _prune_in_order(pts, tol, lp_redundant):
     """Mask of the rows kept when each row in turn is dropped if a convex
     combination of the rows still kept is <= it + tol.
 
-    ``lp_redundant(row, others, tol)`` is that LP feasibility test; it runs
-    only when no certificate decides, as in Clarkson, "More output-sensitive
+    ``lp_redundant(row, others, tol)`` decides that test; it runs only when
+    no certificate here decides, as in Clarkson, "More output-sensitive
     geometric algorithms" (FOCS 1994).  A row is dropped without it when a
     kept row is <= it + tol componentwise (a vertex of the LP's simplex is
     feasible), and kept without it when ``_extreme_by_direction`` certifies
-    it (Farkas makes the LP infeasible).  Both certificates decide as the LP
-    would, so the mask is the one the LP alone gives.
+    it against all rows (Farkas makes the LP infeasible).  Both certificates
+    decide as the LP would, so the mask is the one the LP alone gives.
+    ``exprs.canonicalize_pl`` passes a bare LP; ``prune_positive_hull``
+    passes ``_lp_redundant``, which tries a chord and a finer direction
+    certificate against the kept rows before its LP.
     """
     extreme = _extreme_by_direction(pts, tol)
     kept = np.ones(len(pts), dtype=bool)
@@ -351,10 +389,15 @@ def prune_positive_hull(points):
 
     Higher dimensions visit the points in order, each against the points
     still kept (``_prune_in_order``, shared with ``exprs.canonicalize_pl``):
-    certificates decide most points and ``_lp_redundant`` the rest.
+    single-row and coarse direction certificates decide most points, and
+    ``_lp_redundant`` the rest, by a chord certificate, a fine direction
+    certificate and, for the points both leave open, one LP.  Raises
+    ``DegenerateBodyError`` on a non-finite point, before any of these run.
     """
     tol = 1e-10
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateBodyError("positive hull of non-finite points (overflow?)")
     if pts.shape[1] == 2:
         return _prune_2d(pts, tol)
     return pts[_prune_in_order(pts, tol, _lp_redundant)]

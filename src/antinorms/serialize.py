@@ -7,7 +7,6 @@ identity on the JSON level.  Schemas for every wire format are shipped in
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -158,24 +157,59 @@ SCHEMAS = {
 }
 
 
-@functools.cache
-def _validator(schema_name):
-    """The compiled validator of ``SCHEMAS[schema_name]``; its schema is checked once."""
-    import jsonschema
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
 
-    schema = SCHEMAS[schema_name]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _violations(x, schema, path):
+    """(path, message) of each violation of ``schema`` by ``x``, keyword by
+    keyword in schema order, with JSON Schema's meaning and messages for
+    the keywords ``SCHEMAS`` uses (``const`` and ``enum`` hold strings)."""
+    for key, want in schema.items():
+        if key == "type":
+            if not _TYPES[want](x):
+                yield path, f"{x!r} is not of type {want!r}"
+        elif key == "required":
+            if isinstance(x, dict):
+                yield from ((path, f"{k!r} is a required property") for k in want if k not in x)
+        elif key == "properties":
+            if isinstance(x, dict):
+                for k, sub in want.items():
+                    if k in x:
+                        yield from _violations(x[k], sub, path + (k,))
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from _violations(item, want, path + (i,))
+        elif key == "const":
+            if x != want:
+                yield path, f"{want!r} was expected"
+        elif key == "enum":
+            if x not in want:
+                yield path, f"{x!r} is not one of {want!r}"
+        elif key == "minimum":
+            if _TYPES["number"](x) and x < want:
+                yield path, f"{x!r} is less than the minimum of {want!r}"
+        else:
+            raise KeyError(f"schema keyword {key!r} is not supported")
 
 
 def validate(obj, schema_name):
-    """Return ``obj`` if it matches ``SCHEMAS[schema_name]``; raise ValueError naming
-    the violation ``jsonschema.validate`` would raise otherwise."""
-    from jsonschema.exceptions import best_match
+    """Return ``obj`` if it matches ``SCHEMAS[schema_name]``; raise ValueError
+    naming a violation otherwise.
 
-    e = best_match(_validator(schema_name).iter_errors(obj))
-    if e is not None:
-        path = "/".join(map(str, e.absolute_path)) or "top level"
-        raise ValueError(f"not a valid {schema_name} ({path}): {e.message}")
+    The violation named is the one ``jsonschema.exceptions.best_match``
+    picks: the shallowest, among those the last path in sorted order, and
+    among those the first keyword in schema order.
+    """
+    best = max(_violations(obj, SCHEMAS[schema_name], ()),
+               key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is not None:
+        path = "/".join(map(str, best[0])) or "top level"
+        raise ValueError(f"not a valid {schema_name} ({path}): {best[1]}")
     return obj

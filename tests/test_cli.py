@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import antinorms
 from antinorms import catalog
 from antinorms.cli import main
 from antinorms.serialize import expr_to_dict, family_to_dict
@@ -403,3 +407,31 @@ def test_invalid_family_error_text(files, capsys, obj, message):
     path = write("bad.json", obj)
     assert main(["lsr", "--family", path, "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+_NO_JSONSCHEMA = """
+import json, sys
+from antinorms.cli import main
+
+for name, obj in [("fam.json", {"dim": 2, "matrices": [[[1.0, 0.5], [0.2, 0.8]]]}),
+                  ("pl.json", {"type": "pl", "dim": 2, "functionals": [[1.0, 0.2], [0.3, 1.0]]}),
+                  ("bad.json", {"dim": 0, "matrices": "a"})]:
+    with open(name, "w") as fh:
+        json.dump(obj, fh)
+codes = [main(["lsr", "--family", "fam.json", "--max-len", "4", "--quiet"]),
+         main(["dual", "--input", "pl.json", "--output", "dual.json", "--quiet"]),
+         main(["lsr", "--family", "bad.json", "--quiet"])]
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")}))
+"""
+
+
+def test_validated_runs_load_no_jsonschema(tmp_path):
+    src = str(pathlib.Path(antinorms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH")] if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_JSONSCHEMA], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"codes": [0, 0, 2], "loaded": []}

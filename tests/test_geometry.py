@@ -11,7 +11,8 @@ from antinorms import (
     prune_positive_hull,
     vertices_of,
 )
-from antinorms.geometry import _dedupe_sorted
+from antinorms import geometry
+from antinorms.geometry import _dedupe_sorted, _lp_redundant
 
 
 def test_vertices_simplex_corners():
@@ -220,6 +221,74 @@ def test_prune_matches_sequential_lp_reference():
         assert prune_positive_hull(X).tobytes() == _prune_reference(X).tobytes()
         assert (canonicalize_pl(PLAntinorm(X)).functionals.tobytes()
                 == _prune_reference(np.unique(X, axis=0), 1e-9).tobytes())
+
+
+def _count_lps(monkeypatch):
+    """Record every ``geometry.linprog`` call and every redundancy test."""
+    calls = {"linprog": 0, "_lp_redundant": 0}
+    for name in calls:
+        inner = getattr(geometry, name)
+
+        def counting(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_prune_decides_chord_and_direction_rows_without_an_lp(monkeypatch, d):
+    # extreme rows on the surface prod a_i = 1, and rows just above the
+    # midpoint of two of them: no single row is below those, a chord is
+    rng = np.random.default_rng(30 + d)
+    P = rng.lognormal(0.0, 0.5, (10, d - 1))
+    P = np.hstack([P, 1.0 / np.prod(P, axis=1, keepdims=True)])
+    ij = np.array([rng.choice(10, size=2, replace=False) for _ in range(8)])
+    lam = rng.uniform(0.2, 0.8, (8, 1))
+    M = lam * P[ij[:, 0]] + (1.0 - lam) * P[ij[:, 1]] + 1e-3
+    X = np.vstack([P, M])[rng.permutation(18)]
+    calls = _count_lps(monkeypatch)
+    out = prune_positive_hull(X)
+    assert calls["_lp_redundant"] > 0 and calls["linprog"] == 0
+    assert out.tobytes() == _prune_reference(X).tobytes()
+    for m in M:
+        assert _lp_redundant(m, P, 1e-10)
+    for k, v in enumerate(P):          # each surface row against the others
+        assert not _lp_redundant(v, np.delete(P, k, axis=0), 1e-10)
+    assert calls["linprog"] == 0
+
+
+def test_chord_witness_survives_cancellation(monkeypatch):
+    # the chord's x-interval rounds to lam = 1, where a + lam (b - a) reads
+    # (0, 0, 1) <= v, yet every chord point has x >= 1 > 0.5; y = (1/2, 1/2, 0)
+    # then certifies v as not redundant
+    a, b, v = np.array([1e20, 1e20, 0.0]), np.ones(3), np.array([0.5, 0.5, 2.0])
+    calls = _count_lps(monkeypatch)
+    assert not _lp_redundant(v, np.array([a, b]), 1e-10)
+    assert calls["linprog"] == 0
+
+
+def test_prune_sends_a_three_point_combination_to_the_lp(monkeypatch):
+    # (1, 1, 1) is the centroid of the three rows and below no chord of two,
+    # and <y, (1, 1, 1)> = 1 >= 3 min_i y_i = min over the rows for every y
+    rows = 3.0 * np.eye(3)
+    calls = _count_lps(monkeypatch)
+    assert _lp_redundant(np.ones(3), rows, 1e-10)
+    assert calls["linprog"] == 1
+    assert prune_positive_hull(np.vstack([rows, np.ones(3)])).tolist() == rows.tolist()
+    assert calls["linprog"] == 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("d", [2, 3])
+def test_prune_non_finite_point_is_a_typed_error(monkeypatch, d, bad):
+    X = np.vstack([np.eye(d), np.full(d, 0.5)])
+    X[1, 0] = bad
+    calls = _count_lps(monkeypatch)
+    with pytest.raises(DegenerateBodyError):
+        prune_positive_hull(X)
+    assert calls == {"linprog": 0, "_lp_redundant": 0}
 
 
 @pytest.mark.parametrize("d", [3, 4])

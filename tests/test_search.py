@@ -1,8 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
-from antinorms._search import bracket_root, logit_points
+from antinorms import MatrixFamily, ProductAntinorm, catalog, dual_numeric, is_selfdual
+from antinorms._search import bracket_root, logit_points, simplex_grid
+from antinorms.dynamics import lsr_lower_certificate
+from antinorms.geometry import prune_positive_hull
 
 EPS = np.finfo(float).eps
 
@@ -113,3 +117,20 @@ def test_logit_points_are_interior_and_on_the_simplex():
     assert np.all(X > 0.0) and np.all(X <= 1.0)
     assert np.max(np.abs(X.sum(axis=1) - 1.0)) <= EPS
     assert np.array_equal(logit_points(-t), X[:, ::-1])
+
+
+def test_simplex_grid_is_one_read_only_array_per_size():
+    G = simplex_grid(3, 64)
+    assert simplex_grid(3, 64) is G and not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.5
+    # every caller reads the shared grids and leaves them as built
+    rng = np.random.default_rng(2)
+    dual_numeric(catalog("rootsum3"), [0.3, 0.5, 0.2])                       # duality
+    is_selfdual(catalog("rootsum3"), n_grid=4)                                # selfdual
+    lsr_lower_certificate(MatrixFamily(rng.uniform(0.1, 1.0, (2, 3, 3))),
+                          ProductAntinorm([0.2, 0.3, 0.5]))                   # dynamics
+    P = rng.lognormal(0.0, 0.5, (12, 2))
+    prune_positive_hull(np.hstack([P, 1.0 / np.prod(P, axis=1, keepdims=True)]))  # geometry
+    for d, n in [(3, 64), (3, 5)]:          # 5: the coarsest grid with 4 interior points
+        assert simplex_grid(d, n).tobytes() == simplex_grid.__wrapped__(d, n).tobytes()

@@ -119,6 +119,62 @@ def test_all_schemas_are_valid_json_schema():
         jsonschema.Draft202012Validator.check_schema(schema)
 
 
+def _jsonschema_message(obj, schema_name):
+    import jsonschema
+    from jsonschema.exceptions import best_match
+
+    e = best_match(jsonschema.Draft202012Validator(SCHEMAS[schema_name]).iter_errors(obj))
+    if e is None:
+        return None
+    path = "/".join(map(str, e.absolute_path)) or "top level"
+    return f"not a valid {schema_name} ({path}): {e.message}"
+
+
+def _mutants(rng, obj, depth=0):
+    """Copies of ``obj`` with one value replaced, a key dropped or a key added."""
+    bad = ["x", None, True, -1, 0, 0.5, 2.0, [], {}, [1, "y"], "pl", "product"]
+    if isinstance(obj, dict):
+        for k in obj:
+            yield {j: v for j, v in obj.items() if j != k}
+            for b in rng.choice(len(bad), size=3, replace=False):
+                yield {**obj, k: bad[b]}
+            for sub in _mutants(rng, obj[k], depth + 1):
+                yield {**obj, k: sub}
+        yield {**obj, "extra": 1}
+    elif isinstance(obj, list) and obj and depth < 4:
+        i = int(rng.integers(len(obj)))
+        yield obj[:i] + [bad[int(rng.integers(len(bad)))]] + obj[i + 1:]
+        for sub in _mutants(rng, obj[i], depth + 1):
+            yield obj[:i] + [sub] + obj[i + 1:]
+        yield []
+
+
+def test_validate_names_the_violation_jsonschema_picks():
+    rng = np.random.default_rng(8)
+    G = ConicPolytope.from_halfspaces([[0.6, 0.8], [0.0, 1.25]])
+    G.vertices()
+    valid = {
+        "pl_antinorm": expr_to_dict(PLAntinorm([[1.0, 0.5], [0.2, 1.0]])),
+        "expr": expr_to_dict(ProductAntinorm([0.3, 0.7])),
+        "polytope": polytope_to_dict(G),
+        "polygon": polygon_to_dict(construct2(AutopolarSeed(1, math.atan2(0.8, 0.6)))),
+        "family": family_to_dict(MatrixFamily([np.diag([2.0, 1.0]), [[0.5, 1.0], [0.0, 1.0]]],
+                                              probabilities=[0.25, 0.75])),
+    }
+    checked = 0
+    for name, obj in valid.items():
+        for x in [obj, [obj], 3, *_mutants(rng, obj)]:
+            expected = _jsonschema_message(x, name)
+            if expected is None:
+                assert validate(x, name) is x
+            else:
+                with pytest.raises(ValueError) as err:
+                    validate(x, name)
+                assert str(err.value) == expected
+                checked += 1
+    assert checked > 50
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         expr_from_dict({"type": "mystery"})
