@@ -56,6 +56,7 @@ from .selfdual import (
     construct1,
     construct2,
     contact_point,
+    is_autopolar,
     is_selfdual,
     random_autopolar_seed,
     symmetric_selfdual_probe,

@@ -58,11 +58,12 @@ from .dynamics import (
 )
 from .errors import AntinormError
 from .exprs import as_pl, continuous_extension_eval
-from .geometry import ConicPolytope, antipolar
+from .geometry import ConicPolytope
 from .selfdual import (
     AutopolarSeed,
     construct2,
     contact_point,
+    is_autopolar,
     is_selfdual,
     random_autopolar_seed,
 )
@@ -212,13 +213,13 @@ def cmd_autopolar(run):
         params = tuple(_parse_vec(args.params)) if args.params else ()
         seed = AutopolarSeed(args.k, angle, params)
     else:
-        rng = np.random.default_rng(args.seed)
-        seed = random_autopolar_seed(args.k, rng)
+        seed = random_autopolar_seed(args.k, np.random.default_rng(args.seed))
     try:
-        poly = construct2(seed)
+        poly = construct2(seed)   # a sampled seed holds its verified polygon
     except AntinormError as e:
         raise VerificationFailure(str(e))
-    a = contact_point(poly.antinorm())
+    f = poly.antinorm()
+    a = contact_point(f)
     run.say(f"contact point: ({fmt(a[0])}, {fmt(a[1])}), |a| = {fmt(np.linalg.norm(a))}")
     out = polygon_to_dict(poly)
     out["contact"] = a.tolist()
@@ -226,7 +227,8 @@ def cmd_autopolar(run):
     out["step_params"] = list(seed.step_params)
     run.output(json.dumps(out, indent=2))
     if args.svg:
-        dual_chain = polygon_chain(antipolar(poly.to_polytope()).vertices())
+        # the antipolar's vertices are the polygon's canonical facet rows
+        dual_chain = polygon_chain(f.body.halfspaces)
         run.write(args.svg, render(curves=[(polygon_chain(poly.vertices), "#1f77b4", None),
                                            (dual_chain, "#d62728", "6 4")],
                                    points=[(a, "#2ca02c")]))
@@ -303,11 +305,10 @@ def cmd_trig(run):
     except ValueError:
         raise SystemExit2(f"bad --theta-range {args.theta_range!r}, expected a:b:n")
     ctx = TrigContext.build(f, mode=args.mode)
-    ok, _dev = is_selfdual(f, tol=1e-6, n_grid=200)
     pl = as_pl(f)
-    # the identity needs the dual's own antisphere: f itself when self-dual,
-    # the exact dual for PL input; other antinorms have none to check against
-    if ok:
+    # the identity needs the dual's own antisphere: f itself when self-dual (exact
+    # for PL input), the exact dual for PL input; others have none to check against
+    if (is_autopolar(pl) if pl is not None else is_selfdual(f, tol=1e-6, n_grid=200)[0]):
         ctx_dual = ctx
     elif pl is not None:
         ctx_dual = TrigContext.build(dual_pl(pl), mode=args.mode)

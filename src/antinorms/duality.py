@@ -49,10 +49,8 @@ from .exprs import (
     _Arc,
     as_point,
     as_pl,
-    canonicalize_pl,
     continuous_extension_eval,
 )
-from .geometry import ConicPolytope
 
 __all__ = [
     "DualReport",
@@ -86,16 +84,15 @@ def dual_pl(f):
 
     The antiball of f* is the antipolar of the antiball of f, whose
     half-spaces are the vertices of the latter; so the dual's functionals
-    are exactly those vertices.  Applying ``dual_pl`` twice returns
-    ``canonicalize_pl(f)``.
+    are exactly those vertices, the ones ``f.body`` caches.  Applying
+    ``dual_pl`` twice returns ``canonicalize_pl(f)``.
     """
     pl = as_pl(f)
     if pl is None:
         raise TypeError(f"{f!r} has no piecewise-linear form; use dual_numeric")
     if pl.dim > 4:
         raise DimensionMismatchError("exact PL duality supports dim <= 4")
-    G = ConicPolytope.from_halfspaces(canonicalize_pl(pl).functionals)
-    return PLAntinorm(G.vertices())
+    return PLAntinorm(pl.body.vertices())
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def perron_certificate(A):
     j = int(np.argmax(np.abs(w)))
     u = np.abs(np.real(V[:, j]))
     u = u / max(u.max(), 1e-300)
-    return PLAntinorm(u[None, :])
+    return PLAntinorm.irredundant(u[None, :])
 
 
 def lsr_lower_certificate(family, f):
@@ -393,7 +393,7 @@ def lsr_lower_certificate(family, f):
     pl = as_pl(f)
     mats = family.matrices
     if pl is not None and pl.dim <= 4:
-        V = ConicPolytope.from_halfspaces(pl.functionals).vertices()
+        V = pl.body.vertices()
         vals = np.min(np.stack([pl._values(V @ A.T) for A in mats]), axis=0)
         return float(np.min(vals))
 
@@ -536,7 +536,7 @@ def invariant_body_iterate(family, P0, iters=12):
     return BodyIterationResult(
         gamma_low=min(gamma_low, _round_down(gamma_near, family.dim)),
         gamma_high=gamma_high,
-        antinorm=PLAntinorm(np.maximum(W, 0.0)),
+        antinorm=PLAntinorm.irredundant(np.maximum(W, 0.0)),
         iterations=len(ratios),
         support_ratios=ratios,
         stalled=stalled,
@@ -583,7 +583,7 @@ def transpose_extremal_check(family, f):
     g1 = lsr_lower_certificate(family, pl)
     g2 = lsr_lower_certificate(fam_T, dual_pl(pl))
     # body statement: G* has vertices = functionals of f (canonical form)
-    Vstar = np.array(ConicPolytope.from_halfspaces(pl.functionals).canonical().halfspaces)
+    Vstar = np.array(pl.body.canonical().halfspaces)
     image = prune_positive_hull(np.concatenate([Vstar @ A for A in family.matrices], axis=0))
     if family.dim == 2:
         probes = logit_points(np.linspace(-2.5, 2.5, 41))

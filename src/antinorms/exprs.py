@@ -29,7 +29,7 @@ import numpy as np
 from ._search import aitken_limit, bracket_root, bracket_tol, linprog, logit_points
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
-from .geometry import _prune_2d, _prune_in_order
+from .geometry import ConicPolytope, _prune_2d, _prune_in_order
 
 __all__ = [
     "Antinorm",
@@ -146,7 +146,9 @@ class PLAntinorm(Antinorm):
     """f(x) = min_j <a_j, x> with nonnegative nonzero rows a_j.
 
     The unit antiball {f >= 1} is the conic polyhedron cut out of R^d_+ by
-    the half-spaces <a_j, x> >= 1.
+    the half-spaces <a_j, x> >= 1; ``body`` is it as one write-once
+    ``ConicPolytope`` of the canonical rows, whose vertex set the dual, the
+    contact search, trigonometry and the lower certificate all share.
     """
 
     def __init__(self, functionals, dim=None):
@@ -162,6 +164,22 @@ class PLAntinorm(Antinorm):
         self.functionals = A
         self.functionals.setflags(write=False)
         self.dim = A.shape[1]
+        self._body = None
+
+    @classmethod
+    def irredundant(cls, rows):
+        """The antinorm of ``rows`` that no convex combination of the others
+        dominates (a pruned positive hull, a canonical form): its body is
+        built on the rows as they are, with no canonicalization."""
+        f = cls(rows)
+        f._body = ConicPolytope.from_halfspaces(f.functionals)
+        return f
+
+    @property
+    def body(self):
+        if self._body is None:
+            self._body = canonicalize_pl(self).body
+        return self._body
 
     def _values(self, X):
         return np.min(X @ self.functionals.T, axis=1)
@@ -674,12 +692,13 @@ def canonicalize_pl(f):
     rows still kept is <= a_j + tol.  There the single-row and direction
     certificates of ``geometry._prune_in_order`` decide most rows and
     ``_dominated_by_hull`` solves one LP for each row they leave open.
-    Either way the output is deterministic.
+    Either way the output is deterministic, and its ``body`` is built on
+    its own rows.
     """
     A = np.unique(f.functionals, axis=0)  # sorts lexicographically
     if A.shape[1] == 2:
-        return PLAntinorm(_prune_2d(A, DEFAULT.redundancy))
-    return PLAntinorm(A[_prune_in_order(A, DEFAULT.redundancy, _dominated_by_hull)])
+        return PLAntinorm.irredundant(_prune_2d(A, DEFAULT.redundancy))
+    return PLAntinorm.irredundant(A[_prune_in_order(A, DEFAULT.redundancy, _dominated_by_hull)])
 
 
 def as_pl(f):

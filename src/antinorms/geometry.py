@@ -18,10 +18,10 @@ OY-axis vertex of the last row.  In d = 3, 4 it stays exhaustive over
 active constraint sets: every feasible basic solution of d linearly
 independent constraints drawn from {<a_j, x> >= 1} and {x_i >= 0} is an
 extreme point; a batched floating-point pass picks the active sets (rank
-filter at 1e-12) and checks feasibility.  Either way each vertex is then
-re-solved exactly from the same float rows (rational arithmetic on Python
-integers) and rounded once, so a vertex whose exact value is a float comes
-out as that float.
+filter at 1e-12) and checks feasibility.  Either way the vertices are then
+re-solved exactly from the same float rows, in one ``_solve_exact`` stack
+(rational arithmetic on Python integers), and each rounded once, so a vertex
+whose exact value is a float comes out as that float.
 """
 
 from __future__ import annotations
@@ -66,42 +66,44 @@ def _dedupe_sorted(points, tol):
     return pts[keep]
 
 
-def _solve_exact(M, b):
-    """Solve the square system M x = b exactly and round each entry once.
+def _solve_exact(systems):
+    """Solve each augmented system [M | b] of a (K, n, n + 1) stack exactly,
+    each entry rounded once, after one ``tolist`` pass over the stack.
 
-    Each float row (with its right-hand side) is scaled by a power of two
-    to integers, which leaves the solution unchanged; fraction-free
-    Gauss-Jordan elimination then leaves x_i = R_in / R_ii as a ratio of
-    integers, and int / int division in Python is correctly rounded.
+    Each row is scaled by a power of two to integers, which leaves the
+    solution unchanged; fraction-free Gauss-Jordan elimination leaves
+    x_i = R_in / R_ii, and int / int division in Python rounds correctly.
     """
-    n = len(b)
-    R = []
-    for row in np.column_stack([M, b]).tolist():
-        q = [v.as_integer_ratio() for v in row]  # denominators are powers of two
-        den = max(d for _, d in q)
-        R.append([num * (den // d) for num, d in q])
-    for c in range(n):
-        p = next(r for r in range(c, n) if R[r][c] != 0)
-        R[c], R[p] = R[p], R[c]
-        for r in range(n):
-            if r != c and R[r][c] != 0:
-                R[r] = [R[c][c] * x - R[r][c] * y for x, y in zip(R[r], R[c])]
-    return np.array([R[i][n] / R[i][i] for i in range(n)])
+    out = []
+    for system in np.asarray(systems, dtype=float).tolist():
+        n = len(system)
+        R = []
+        for row in system:
+            q = [v.as_integer_ratio() for v in row]  # denominators are powers of two
+            den = max(d for _, d in q)
+            R.append([num * (den // d) for num, d in q])
+        for c in range(n):
+            p = next(r for r in range(c, n) if R[r][c] != 0)
+            R[c], R[p] = R[p], R[c]
+            for r in range(n):
+                if r != c and R[r][c] != 0:
+                    R[r] = [R[c][c] * x - R[r][c] * y for x, y in zip(R[r], R[c])]
+        out.append([R[i][n] / R[i][i] for i in range(n)])
+    return np.array(out)
 
 
 def _vertices_2d(A, tol):
-    """Vertices in d = 2: axis vertices of the end rows, neighbours' meeting points."""
-    H = _prune_2d(A, tol)
-    cand = []
-    if H[0, 0] > 0:
-        cand.append(_solve_exact(np.array([H[0], [0.0, 1.0]]), np.array([1.0, 0.0])))
-    for a, b in zip(H[:-1], H[1:]):
-        cand.append(_solve_exact(np.array([a, b]), np.ones(2)))
-    if H[-1, 1] > 0:
-        cand.append(_solve_exact(np.array([H[-1], [1.0, 0.0]]), np.array([1.0, 0.0])))
-    if not cand:
+    """Vertices in d = 2: axis vertices of the end rows, neighbours' meeting
+    points, solved in one stack."""
+    H = _prune_2d(A, tol).tolist()
+    systems = [[[*a, 1.0], [*b, 1.0]] for a, b in zip(H, H[1:])]
+    if H[0][0] > 0:
+        systems.insert(0, [[*H[0], 1.0], [0.0, 1.0, 0.0]])
+    if H[-1][1] > 0:
+        systems.append([[*H[-1], 1.0], [1.0, 0.0, 0.0]])
+    if not systems:
         raise DegenerateBodyError("conic polytope has no vertices (empty body?)")
-    return _dedupe_sorted(np.maximum(cand, 0.0), DEFAULT.vertex_dedupe)
+    return _dedupe_sorted(np.maximum(_solve_exact(systems), 0.0), DEFAULT.vertex_dedupe)
 
 
 def _enumerate_vertices(halfspaces):
@@ -111,9 +113,9 @@ def _enumerate_vertices(halfspaces):
         raise DimensionMismatchError("exact vertex enumeration supports dim <= 4")
     if d == 2:
         return _vertices_2d(A, DEFAULT.geometry)
-    # constraint rows: <a_j, x> >= 1  and  x_i >= 0
-    rows = np.vstack([A, np.eye(d)])
-    rhs = np.concatenate([np.ones(m), np.zeros(d)])
+    # constraint rows [a_j | 1]: <a_j, x> >= 1, and [e_i | 0]: x_i >= 0
+    aug = np.vstack([np.column_stack([A, np.ones(m)]), np.eye(d, d + 1)])
+    rows, rhs = aug[:, :d], aug[:, d]
     combos = list(itertools.combinations(range(m + d), d))
     M = rows[np.array(combos)]                      # (K, d, d)
     dets = np.abs(np.linalg.det(M))
@@ -128,11 +130,10 @@ def _enumerate_vertices(halfspaces):
     feasible = (~np.any(sols < -1e-9, axis=1)
                 & ~np.any(np.maximum(sols, 0.0) @ A.T < 1.0 - _FEAS_TOL, axis=1)
                 & np.any(combo_idx < m, axis=1))
-    cand = [np.maximum(_solve_exact(rows[combo], rhs[combo]), 0.0)
-            for combo in combo_idx[feasible]]
-    if not cand:
+    if not np.any(feasible):
         raise DegenerateBodyError("conic polytope has no vertices (empty body?)")
-    return _dedupe_sorted(np.array(cand), DEFAULT.vertex_dedupe)
+    return _dedupe_sorted(np.maximum(_solve_exact(aug[combo_idx[feasible]]), 0.0),
+                          DEFAULT.vertex_dedupe)
 
 
 class ConicPolytope:
@@ -209,12 +210,6 @@ class ConicPolytope:
         out = ConicPolytope(self.dim, halfspaces=H)
         out._vertices = V
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ConicPolytope) or other.dim != self.dim:
-            return NotImplemented
-        a, b = self.vertices(), other.vertices()
-        return a.shape == b.shape and bool(np.allclose(a, b, atol=1e-10, rtol=0))
 
     def __repr__(self):
         nh = "?" if self._halfspaces is None else self._halfspaces.shape[0]

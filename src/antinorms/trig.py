@@ -44,7 +44,6 @@ from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 from ._search import bracket_root, brentq
 from .errors import DimensionMismatchError, ThetaRangeError
 from .exprs import PLAntinorm, as_pl, as_point
-from .geometry import ConicPolytope
 from .selfdual import closest_antisphere_point
 
 __all__ = [
@@ -73,7 +72,7 @@ class _PolylineBoundary:
     """
 
     def __init__(self, pl):
-        V = self.V = ConicPolytope.from_halfspaces(pl.functionals).vertices()
+        V = self.V = pl.body.vertices()
         chord = V[1:, 0] * V[:-1, 1] - V[1:, 1] * V[:-1, 0]   # V[i + 1] x V[i]
         # T[i] = sector position of vertex i, increasing toward OY (index 0)
         self.T = np.append(np.cumsum(chord[::-1])[::-1], 0.0)
@@ -221,8 +220,8 @@ class TrigContext:
             raise DimensionMismatchError("concave trigonometry is 2-dimensional")
         if mode not in ("sector", "literal"):
             raise ValueError("mode must be 'sector' or 'literal'")
-        contact = as_point(closest_antisphere_point(f)[0], 2)
         pl = as_pl(f)
+        contact = as_point(closest_antisphere_point(f if pl is None else pl)[0], 2)
         ctx = cls(f, contact, math.atan2(contact[1], contact[0]), mode)
         ctx._boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f, contact)
         ctx._origin_pos = float(ctx._boundary.locate(contact[None])[0])
@@ -359,7 +358,9 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
     own dual.  Points within 1e-4 of a polygon corner have a set-valued
     support line and are skipped and counted separately.  One ``point_at``
     call inverts all thetas and one more all t*.  ``residuals`` holds each
-    theta's: NaN if skipped, inf (checked) if q has no t* on the dual.
+    theta's: NaN if skipped, inf (checked) if q has no t*, or one whose
+    point is not q within 1e-9 (relative): literal theta is 0 all along a
+    dual piece on the tangent at the contact (A_0 -> A_{-1} when autopolar).
     """
     if ctx_dual is None:
         ctx_dual = ctx
@@ -380,9 +381,11 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
     on = inside[np.abs(ctx_dual.f._values(Q[inside]) - 1.0) <= 1e-6]
     th_star[on] = ctx_dual._theta(Q[on])
     found = ~np.isnan(th_star)
-    cs_star = ctx_dual.frame_coords(ctx_dual.point_at(th_star[found]))
-    r = np.abs(np.sum(ctx.frame_coords(P[found]) * cs_star, axis=1) - 1.0)
-    res[found] = np.where(np.isnan(r), np.inf, r)
+    Q_star = ctx_dual.point_at(th_star[found])
+    off = (np.linalg.norm(Q_star - Q[found], axis=1)
+           > 1e-9 * (1.0 + np.linalg.norm(Q[found], axis=1)))
+    r = np.abs(np.sum(ctx.frame_coords(P[found]) * ctx_dual.frame_coords(Q_star), axis=1) - 1.0)
+    res[found] = np.where(np.isnan(r) | off, np.inf, r)
     checked = ~np.isnan(res)
     return IdentityReport(float(np.max(res[checked], initial=0.0)), int(checked.sum()),
                           int(len(P) - checked.sum()), ctx.mode, res)

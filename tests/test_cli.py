@@ -435,3 +435,30 @@ def test_validated_runs_load_no_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out == {"codes": [0, 0, 2], "loaded": []}
+
+
+
+def test_one_vertex_enumeration_per_pl_body(files, monkeypatch):
+    # autopolar verifies its polygon and finds the contact on one body; the
+    # polygon's own vertex rows are one body for selfdual-check, dual and trig
+    from antinorms import geometry
+
+    tmp, write = files
+    calls = []
+    enumerate_vertices = geometry._enumerate_vertices
+    monkeypatch.setattr(geometry, "_enumerate_vertices",
+                        lambda H: calls.append(len(H)) or enumerate_vertices(H))
+    poly = str(tmp / "poly.json")
+    svg = str(tmp / "poly.svg")
+    assert main(["autopolar", "--k", "6", "--seed", "4", "--output", poly, "--svg", svg,
+                 "--quiet"]) == 0
+    counts = [len(calls)]
+    V = json.load(open(poly))["vertices"]
+    pl = write("pl.json", {"type": "pl", "dim": 2, "functionals": V})
+    for argv in (["selfdual-check", "--input", pl, "--json"],
+                 ["dual", "--input", pl, "--output", str(tmp / "dual.json")],
+                 ["trig", "--antinorm", pl, "--theta-range", "-1:0.5:5",
+                  "--output", str(tmp / "trig.csv")]):
+        assert main([*argv, "--quiet"]) == 0
+        counts.append(len(calls) - sum(counts))
+    assert counts == [1, 1, 1, 1]

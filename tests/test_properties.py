@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -158,3 +160,58 @@ def test_grads_match_central_differences_and_euler(case, x):
     assert np.allclose(g, _central_differences(f, x), rtol=1e-5, atol=1e-7 * np.abs(g).max())
     assert float(g @ x) == pytest.approx(f.value(x), rel=1e-12)
     assert np.array_equal(f.grad(x), g)
+
+
+def _gauss_jordan_reference(M, b):
+    """Exact solution of M x = b in rationals, each entry rounded once."""
+    n = len(b)
+    R = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(M.tolist(), b.tolist())]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(R[r][c]))
+        R[c], R[p] = R[p], R[c]
+        R[c] = [v / R[c][c] for v in R[c]]
+        for r in range(n):
+            if r != c:
+                R[r] = [x - R[r][c] * y for x, y in zip(R[r], R[c])]
+    return [float(R[i][n]) for i in range(n)]
+
+
+def _nonsingular(A):
+    """Full rank after exact elimination."""
+    R = [[Fraction(v) for v in row] for row in A.tolist()]
+    for c in range(len(R)):
+        piv = [r for r in range(c, len(R)) if R[r][c] != 0]
+        if not piv:
+            return False
+        R[c], R[piv[0]] = R[piv[0]], R[c]
+        for r in range(c + 1, len(R)):
+            R[r] = [x - R[r][c] / R[c][c] * y for x, y in zip(R[r], R[c])]
+    return True
+
+
+@st.composite
+def exact_systems(draw):
+    """Stacks of nonsingular systems in d = 1..4: 27-bit entries scaled by
+    2^-60 .. 2^60, a third of them zero (which forces row swaps)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    mantissa = st.integers(min_value=-2**26, max_value=2**26)
+    entry = st.one_of(st.just(0), mantissa, mantissa)
+    scale = st.integers(min_value=-60, max_value=60)
+
+    def vec():
+        return [draw(entry) * 2.0 ** (draw(scale) - 26) for _ in range(n)]
+
+    M = np.array([[vec() for _ in range(n)] for _ in range(5)])
+    b = np.array([vec() for _ in range(5)])
+    keep = [_nonsingular(A) for A in M]
+    assume(any(keep))
+    return M[keep], b[keep]
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_systems())
+def test_solve_exact_stack_is_correctly_rounded(system):
+    M, b = system
+    got = geometry._solve_exact(np.concatenate([M, b[..., None]], axis=2)) + 0.0   # a zero's sign is not a rounding
+    want = np.array([_gauss_jordan_reference(A, c) for A, c in zip(M, b)])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

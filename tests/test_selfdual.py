@@ -19,6 +19,7 @@ from antinorms import (
     construct2,
     contact_point,
     dual_numeric,
+    is_autopolar,
     is_selfdual,
     random_autopolar_seed,
     symmetric_selfdual_probe,
@@ -286,3 +287,33 @@ def test_probe_grid_matches_growing_search():
     for dim in (3, 4, 5):
         for n in [*range(1, 201), 1000]:
             assert _probe_grid(dim, n).tobytes() == grown(dim, n).tobytes()
+
+
+def test_contact_candidates_are_the_vertices_then_the_chord_points_bit_for_bit():
+    from antinorms.selfdual import _pl_boundary_candidates
+
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 5, 9, 16):
+        f = construct2(random_autopolar_seed(k, rng)).antinorm()
+        V = f.body.vertices()
+        C = _pl_boundary_candidates(f)
+        assert C.shape == (2 * len(V) - 1, 2)
+        assert C[:len(V)].tobytes() == V.tobytes()   # not a + t (b - a) at t = 0 or 1
+        for c, p, q in zip(C[len(V):], V[:-1], V[1:]):
+            d = q - p
+            assert c.tobytes() == (p + float(np.clip(-(p @ d) / (d @ d), 0.0, 1.0)) * d).tobytes()
+
+
+def test_sampled_seed_keeps_its_verified_polygon():
+    for k in (0, 1, 2, 7):
+        seed = random_autopolar_seed(k, np.random.default_rng(k))
+        poly = construct2(seed)
+        assert construct2(seed) is poly and poly.antinorm() is poly.antinorm()
+        assert is_autopolar(poly.antinorm())
+        assert seed == AutopolarSeed(seed.k, seed.a0_angle, seed.step_params)
+
+
+def test_is_autopolar_compares_rows_with_vertices():
+    assert is_autopolar(PLAntinorm([[0.6, 0.8], [0.0, 1.25]]))
+    assert not is_autopolar(PLAntinorm([[1.0, 1.0]]))                   # sum: dual is min
+    assert not is_autopolar(PLAntinorm([[0.6, 0.8], [0.0, 1.25 + 1e-8]]))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -270,3 +271,22 @@ def test_literal_range_is_what_point_at_reaches(f):
     for t in outside:
         with pytest.raises(ThetaRangeError):
             ctx.point_at(float(t))
+
+
+def test_literal_pole_on_the_contact_tangent_has_no_parameter(tmp_path, capsys):
+    # the pole A_{-1} of the horizontal ray lies on the segment A_0 -> A_{-1},
+    # where literal theta is 0 throughout; the point at 0 is the contact, so
+    # the pole has no parameter (the residual used to be taken there)
+    from antinorms.cli import main
+
+    ctx = TrigContext.build(K1.antinorm(), mode="literal")
+    res = identity_check(ctx, thetas=np.array([-2.0, -1.0, -0.5])).residuals
+    assert np.isinf(res).all()
+    sector = identity_check(TrigContext.build(K1.antinorm()), thetas=np.array([-1.0, -0.5, 0.2]))
+    assert sector.max_residual <= 1e-12
+    pl = tmp_path / "k1.json"
+    pl.write_text(json.dumps({"type": "pl", "dim": 2, "functionals": K1.vertices.tolist()}))
+    assert main(["trig", "--antinorm", str(pl), "--theta-range", "-2:-0.5:3", "--mode", "literal",
+                 "--quiet"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["nan"] * 3
