@@ -8,11 +8,14 @@ package.  Callers:
   ``duality._dual2_batch``, the supergradients of 2-d
   ``exprs.NumericDualAntinorm`` and ``exprs.ConeSplitAntinorm``; skipped at a
   kink on a table node), ``selfdual.closest_antisphere_point`` (stationary
-  radius), ``dynamics.lsr_lower_certificate`` (stationary ratio) and
-  ``trig.TrigContext._literal_positions`` (every literal theta of a batch).
-* ``logit_points``: ``exprs._Arc``, ``selfdual._probe_grid``,
-  ``dynamics.lsr_lower_certificate``, ``dynamics.transpose_extremal_check``
-  and CLI ``dual``.
+  radius, from the radius minima of ``Antinorm.arc``),
+  ``dynamics.lsr_lower_certificate`` (stationary ratio, from the best point
+  of ``Antinorm.arc``) and ``trig.TrigContext._literal_positions`` (every
+  literal theta of a batch).
+* ``logit_points``: ``exprs._Arc`` (the only table of a 2-d antisphere),
+  the roots of ``selfdual.closest_antisphere_point`` and
+  ``dynamics.lsr_lower_certificate``, ``selfdual._probe_grid``,
+  ``dynamics.transpose_extremal_check`` and CLI ``dual``.
 * ``simplex_grid``, always in d >= 3, built once per (d, n) and shared
   read-only: ``duality._dual_nd``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``geometry._extreme_by_direction``

@@ -22,8 +22,9 @@ restricting samples to the interior; that realizes the liminf convention
 for boundary ratios and makes the dual of a discontinuous antinorm agree
 with the dual of its continuous extension.  In d = 2 the minimum is the
 tangency point where p is parallel to a supergradient of f (the equality
-case of the Young-type inequality), found as a root in a table of the
-antisphere of f (``_dual2_batch``, the search the cone split shares).  In
+case of the Young-type inequality), found as a root in the table of the
+antisphere that f keeps (``f.arc``, read by ``_dual2_batch``; the search
+the cone split shares).  In
 d >= 3 the ratio is quasiconvex on the simplex as well, so a converged
 local descent reaches the minimum; Nelder-Mead descents from one shared
 simplex grid run until the two lowest agree within the tolerance
@@ -42,11 +43,9 @@ from ._search import minimize, simplex_grid
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError
 from .exprs import (
-    _DUAL_U,
     BuiltinAntinorm,
     NumericDualAntinorm,
     PLAntinorm,
-    _Arc,
     as_point,
     as_pl,
     continuous_extension_eval,
@@ -111,16 +110,16 @@ def _dual2_batch(f, P):
 
     f*(p) = min over x of <p,x>/f(x) = min over the antisphere {f = 1} of
     <p, s>, attained where p is parallel to a supergradient of f (the
-    equality case of the Young-type inequality).  The arc is ``_Arc`` on
-    1025 logit points over u in [-45, 45]; its query finds the cell where
-    the normal turns past p and closes it onto the tangency, at a kink onto
-    the jump.  Every returned value is <p, s> at an arc point, the smaller
-    of the cell ends' and the root's.  The logit grid keeps boundary
-    minimizers (e.g. for piecewise-linear duals vanishing on an axis)
-    resolvable.  It stays a function of its own because
-    ``bench/trace_layers.py`` counts its calls and rows.
+    equality case of the Young-type inequality).  The arc is ``f.arc``, the
+    table f builds once on 1025 logit points over u in [-45, 45]; its query
+    finds the cell where the normal turns past p and closes it onto the
+    tangency, at a kink onto the jump.  Every returned value is <p, s> at an
+    arc point, the smaller of the cell ends' and the root's.  The logit
+    grid keeps boundary minimizers (e.g. for piecewise-linear duals
+    vanishing on an axis) resolvable.  It stays a function of its own
+    because ``bench/trace_layers.py`` counts its calls and rows.
     """
-    return _Arc(f, _DUAL_U).support(np.atleast_2d(np.asarray(P, dtype=float)))[0]
+    return f.arc.support(np.atleast_2d(np.asarray(P, dtype=float)))[0]
 
 
 def _chart(z):

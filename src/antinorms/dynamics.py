@@ -382,11 +382,12 @@ def lsr_lower_certificate(family, f):
     vertices of the antiball of f.  For x in the antiball, x is a convex
     combination of vertices plus a nonnegative shift, and superadditivity
     with monotonicity push f(Ax) below the vertex values; the bound is
-    therefore exact, not sampled.  Other antinorms fall back to sampling:
-    4097 logit points in d = 2, refined by the root of the slope of the
-    best point's active ratio f(Ax)/f(x) next to it, and the simplex
-    lattice in d >= 3.  That result is an estimate,
-    good only to the sampling density.
+    therefore exact, not sampled, and the float minimum is rounded down
+    once (``_round_down``) to cover the rounding of the vertices and the
+    products.  Other antinorms fall back to sampling: in d = 2 the points of
+    ``f.arc``, where f = 1, refined by the root of the slope of the best
+    point's active ratio f(Ax)/f(x) next to it, and the simplex lattice in
+    d >= 3.  That result is an estimate, good only to the sampling density.
     """
     if family.allow_negative:
         raise NegativeCoordinateError("lower bounds require nonnegative matrices")
@@ -395,7 +396,7 @@ def lsr_lower_certificate(family, f):
     if pl is not None and pl.dim <= 4:
         V = pl.body.vertices()
         vals = np.min(np.stack([pl._values(V @ A.T) for A in mats]), axis=0)
-        return float(np.min(vals))
+        return _round_down(float(np.min(vals)), pl.dim)
 
     def ratio(X):
         fx = f._values(X)
@@ -407,8 +408,7 @@ def lsr_lower_certificate(family, f):
     d = family.dim
     if d > 2:
         return float(np.min(ratio(simplex_grid(d, {3: 64, 4: 28}.get(d, 16)))))
-    t = np.linspace(-16.0, 16.0, 4097)
-    X = logit_points(t)
+    t, X = f.arc.u, f.arc.points
     ratios = ratio(X)
     j = int(np.argmin(ratios))
     A = min(mats, key=lambda M: f.value(M @ X[j]))   # active at the best point
@@ -583,7 +583,7 @@ def transpose_extremal_check(family, f):
     g1 = lsr_lower_certificate(family, pl)
     g2 = lsr_lower_certificate(fam_T, dual_pl(pl))
     # body statement: G* has vertices = functionals of f (canonical form)
-    Vstar = np.array(pl.body.canonical().halfspaces)
+    Vstar = pl.body.halfspaces
     image = prune_positive_hull(np.concatenate([Vstar @ A for A in family.matrices], axis=0))
     if family.dim == 2:
         probes = logit_points(np.linspace(-2.5, 2.5, 41))

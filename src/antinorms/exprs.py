@@ -15,11 +15,13 @@ This module provides the evaluable representations used everywhere else:
 plus the boundary-limit continuous extension, canonicalization of
 piecewise-linear representations and a sampling check of the defining
 axioms.  All values are immutable after construction and every operation
-here is pure, so instances are safe to share between threads.
+here is pure, so instances are safe to share between threads; the caches
+(``body``, ``arc``, the form ``as_pl`` keeps) are built whole, then kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,6 +135,15 @@ class Antinorm:
     def _values_grads(self, X):
         """``_values`` and ``_grads`` together, for one search that yields both."""
         return self._values(X), self._grads(X)
+
+    @functools.cached_property
+    def arc(self):
+        """The antisphere {f = 1} of a 2-d antinorm as one ``_Arc`` on
+        ``_DUAL_U``, built on first use and kept: the 2-d dual, the contact
+        search, the lower certificate, the symmetric probe and the plot."""
+        if self.dim != 2:
+            raise DimensionMismatchError("the antisphere table is 2-dimensional")
+        return _Arc(self, _DUAL_U)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -438,7 +449,7 @@ def symmetrize(f, p):
 # ---------------------------------------------------------------------------
 
 _UMAX = 45.0          # logit range; sigmoid(-45) ~ 2.9e-20 keeps arc points interior
-_DUAL_U = np.linspace(-_UMAX, _UMAX, 1025)   # logit grid of the 2-d dual's arc
+_DUAL_U = np.linspace(-_UMAX, _UMAX, 1025)   # logit grid of ``Antinorm.arc``
 _DUAL_U.setflags(write=False)
 _ROOT_STEPS = 64      # step cap of the tangency root
 _KINK_RATIO = 8.0     # a cell turning this much more than both neighbours may end at a kink
@@ -461,7 +472,9 @@ class _Arc:
     keeps the arc point x/f(x), the unit normal grad f/|grad f| (bounded
     where grad f is not, near an axis) and the normal's angle.  Along a
     concave arc the normal turns from OX toward OY as u rises; a running
-    maximum keeps the angles sorted where rounding would not.
+    maximum keeps the angles sorted where rounding would not.  It is the
+    package's only sampling of a 2-d antisphere: ``Antinorm.arc`` on
+    ``_DUAL_U``, and a cone split's table of its piece on K1.
     """
 
     def __init__(self, f, u):
@@ -541,10 +554,10 @@ class NumericDualAntinorm(Antinorm):
     d >= 3 descents must agree before the search stops.  That search's
     largest budget is the program's choice, ``duality._INNER_BUDGET``, a
     smaller one than ``dual_numeric``'s since every value is a search.
-    In d = 2 the instance builds the inner arc of ``_dual2_batch`` once and
-    one support query gives both f*(p) and its supergradient, the inner
-    antisphere point that attains it (Danskin); in d >= 3 the supergradient
-    is the base class's estimate.
+    In d = 2 one support query on the inner antinorm's ``arc`` (the table
+    ``_dual2_batch`` reads) gives both f*(p) and its supergradient, the
+    inner antisphere point that attains it (Danskin); in d >= 3 the
+    supergradient is the base class's estimate.
     """
 
     def __init__(self, inner, tol=DEFAULT.dual):
@@ -553,21 +566,19 @@ class NumericDualAntinorm(Antinorm):
         self.inner = inner
         self.tol = float(tol)
         self.dim = inner.dim
-        if self.dim == 2:
-            self._arc = _Arc(inner, _DUAL_U)
 
     def _values(self, X):
         if self.dim == 2:
-            return self._arc.support(X)[0]
+            return self.inner.arc.support(X)[0]
         from .duality import _INNER_BUDGET, _dual_nd  # duality imports exprs
 
         return _dual_nd(self.inner, X, self.tol, _INNER_BUDGET)
 
     def _grads(self, X):
-        return self._arc.support(X)[1] if self.dim == 2 else super()._grads(X)
+        return self.inner.arc.support(X)[1] if self.dim == 2 else super()._grads(X)
 
     def _values_grads(self, X):
-        return self._arc.support(X) if self.dim == 2 else super()._values_grads(X)
+        return self.inner.arc.support(X) if self.dim == 2 else super()._values_grads(X)
 
     def settings(self):
         return {"tol": self.tol}
@@ -702,20 +713,19 @@ def canonicalize_pl(f):
 
 
 def as_pl(f):
-    """Return an equivalent ``PLAntinorm`` when the expression has one, else None."""
+    """Return an equivalent ``PLAntinorm`` when the expression has one, else
+    None; built once per instance and kept on it, so its ``body`` is shared."""
     if isinstance(f, PLAntinorm):
         return f
-    if isinstance(f, BuiltinAntinorm):
-        if f.name == "sum":
-            return PLAntinorm(np.ones((1, f.dim)))
-        if f.name == "min":
-            return PLAntinorm(np.eye(f.dim))
-    if isinstance(f, SymmetrizedAntinorm) and f.p == -math.inf:
-        inner = as_pl(f.inner)
-        if inner is not None:
-            rows = np.vstack([inner.functionals[:, perm] for perm in f._perms])
-            return canonicalize_pl(PLAntinorm(rows))
-    return None
+    if "_pl" not in f.__dict__:
+        pl = None
+        if isinstance(f, BuiltinAntinorm) and f.name in ("sum", "min"):
+            pl = PLAntinorm(np.ones((1, f.dim)) if f.name == "sum" else np.eye(f.dim))
+        elif isinstance(f, SymmetrizedAntinorm) and f.p == -math.inf and as_pl(f.inner) is not None:
+            rows = np.vstack([as_pl(f.inner).functionals[:, perm] for perm in f._perms])
+            pl = canonicalize_pl(PLAntinorm(rows))
+        f._pl = pl
+    return f._pl
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ with its restricted dual generates them all:
   is pinned to the OY axis, and every output is verified against the
   antipolar oracle (``is_autopolar``) rather than trusted.
 
-The contact point of a non-PL antinorm is the root of the stationarity
-condition <grad f(u), u'> = 0 of the radius along the unit circle, taken
-with ``_grads`` (analytic, or Danskin for cone splits), so it is exact to
-rounding unless ``_grads`` falls back to finite differences.
+The contact point of a non-PL antinorm is the root, next to a radius
+minimum of its antisphere table ``f.arc``, of the stationarity condition
+that the point is parallel to its normal, taken with ``_grads`` (analytic,
+or Danskin for cone splits), so it is exact to rounding unless ``_grads``
+falls back to finite differences.
 
 The only *symmetric* self-dual antinorm on the plane is sqrt(2xy); the
 probe at the end of the module quantifies how badly a symmetric candidate
@@ -41,7 +42,7 @@ from .errors import (
     InfeasibleSeedError,
     NotSelfDualError,
 )
-from .exprs import ConeSplitAntinorm, PLAntinorm, as_pl, as_point
+from .exprs import ConeSplitAntinorm, PLAntinorm, _sine, _unit_rows, as_pl, as_point
 from .geometry import ConicPolytope
 
 __all__ = [
@@ -263,12 +264,14 @@ def random_autopolar_seed(k, rng):
 def construct1(f1, apex, side="upper", grid_n=20000, verify=True):
     """Glue ``f1`` on the subcone K1 with its K1-restricted dual on K2.
 
-    Preconditions (checked on samples): |apex| = 1, f1(apex) = 1 and
-    f1(x) <= <apex, x> on K1, i.e. the antisphere of f1 stays behind the
-    line orthogonal to the apex ray.  The restricted dual
-    f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is realized by support-function
-    minimization over the K1 antisphere.  The glued function is self-dual;
-    with ``verify`` it is checked by ``is_selfdual`` (tol 1e-6, 160 points).
+    Preconditions: |apex| = 1, f1(apex) = 1 and f1(x) <= <apex, x> on K1,
+    i.e. the antisphere of f1 stays behind the line orthogonal to the apex
+    ray, checked as <apex, s> >= 1 - 1e-9 at the points s of the K1 table
+    (``ConeSplitAntinorm._arc``) that the glued antinorm builds anyway.  The
+    restricted dual f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is realized by
+    support-function minimization over that table.  The glued function is
+    self-dual; with ``verify`` it is checked by ``is_selfdual`` (tol 1e-6,
+    160 points).
     """
     a = as_point(apex, 2)
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
@@ -276,17 +279,11 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True):
     va = f1.value(a)
     if abs(va - 1.0) > 1e-8:
         raise ValueError(f"f1(apex) = {va!r}, expected 1")
-    phi_a = math.atan2(a[1], a[0])
-    lo, hi = (phi_a, math.pi / 2) if side == "upper" else (0.0, phi_a)
-    phis = np.linspace(lo + 1e-9, hi - 1e-9, 512)
-    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    vals = f1._values(U)
-    lin = U @ a
-    bad = vals > lin + 1e-9
-    if np.any(bad):
-        w = U[np.argmax(vals - lin)]
-        raise ValueError(f"precondition f1 <= <apex, .> fails on K1 at {w.tolist()}")
     f = ConeSplitAntinorm(f1, a, side=side, grid_n=grid_n)
+    lin = f._arc.points @ a
+    if np.min(lin) < 1.0 - 1e-9:
+        w = f._arc.points[np.argmin(lin)]
+        raise ValueError(f"precondition f1 <= <apex, .> fails on K1 at {w.tolist()}")
     if verify:
         ok, dev = is_selfdual(f, tol=1e-6, n_grid=160)
         if not ok:
@@ -316,9 +313,12 @@ def closest_antisphere_point(f):
     Returns ``(point, second_distance)`` where ``second_distance`` is the
     nearest candidate distance outside a small cluster around the winner
     (infinity if there is none).  Works for any 2-d antinorm; self-duality
-    is not assumed here.  A non-PL antinorm is sampled in 4097 directions,
-    and each local minimum of the radius is closed onto the sign change of
-    <grad f(u), u'> next to it.  In d >= 3 it raises
+    is not assumed here.  A non-PL antinorm is read on its ``arc``: each
+    local minimum of the radius over the table's points is closed by one
+    ``bracket_root`` onto the sign change, next to it, of the sine between
+    the point and its normal (the radius is stationary where they are
+    parallel), unless that sine is at its rounding floor of a few ulps on
+    the table node (a kink there).  In d >= 3 it raises
     ``DimensionMismatchError``: no search there finds the point to the
     1e-9 that ``contact_point`` asks for.
     """
@@ -328,38 +328,25 @@ def closest_antisphere_point(f):
     if pl is not None:
         cands = _pl_boundary_candidates(pl)
     else:
-        phis = np.linspace(1e-7, math.pi / 2 - 1e-7, 4097)
-        U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        vals = f._values(U)
-        with np.errstate(divide="ignore"):
-            r = np.where(vals > 1e-15, 1.0 / np.where(vals > 1e-15, vals, 1.0), np.inf)
-        interior_min = (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:]) & np.isfinite(r[1:-1])
-        minima = list(np.nonzero(interior_min)[0] + 1)
-        if np.isfinite(r[0]) and r[0] <= r[1]:
-            minima.append(0)
-        if np.isfinite(r[-1]) and r[-1] <= r[-2]:
-            minima.append(len(r) - 1)
-
-        # the radius is least where <grad f(u), u'> falls through 0; over
-        # |grad f| it is a sine, whose rounding floor is a few ulps
-        def slope(t, rows):
-            U = np.stack([np.cos(t), np.sin(t)], axis=1)
-            G = f._grads(U)
-            return (G[:, 1] * U[:, 0] - G[:, 0] * U[:, 1]) / np.hypot(G[:, 0], G[:, 1])
-
-        minima = np.array(minima, dtype=int)
-        lo = phis[np.maximum(minima - 1, 0)]
-        hi = phis[np.minimum(minima + 1, len(phis) - 1)]
-        t = phis[minima]
-        # a slope at its rounding floor on the grid minimum (a kink there) needs no search
-        s_lo, s_t, s_hi = slope(np.concatenate([lo, t, hi]), None).reshape(3, -1)
-        live = (s_lo > 0) & (s_hi < 0) & (np.abs(s_t) > 4 * np.finfo(float).eps)
+        arc = f.arc
+        r = np.linalg.norm(arc.points, axis=1)
+        minima = np.nonzero((r <= np.r_[np.inf, r[:-1]]) & (r <= np.r_[r[1:], np.inf])
+                            & np.isfinite(r))[0]
+        lo, hi = np.maximum(minima - 1, 0), np.minimum(minima + 1, len(r) - 1)
+        h = _sine(_unit_rows(arc.points), arc.normals)
+        # u runs from the OY side, where the sine is negative before a minimum
+        live = (h[lo] < 0) & (h[hi] > 0) & (np.abs(h[minima]) > 4 * np.finfo(float).eps)
+        cands = arc.points[minima]
         if np.any(live):
-            a, b = bracket_root(slope, lo[live], hi[live], s_lo[live], s_hi[live], 64,
-                                ftol=4 * np.finfo(float).eps)
-            t[live] = 0.5 * (a + b)
-        U = np.stack([np.cos(t), np.sin(t)], axis=1)
-        cands = U / f._values(U)[:, None]
+
+            def sine(t, rows):
+                X = logit_points(t)
+                return _sine(_unit_rows(X), _unit_rows(f._grads(X)))
+
+            a, b = bracket_root(sine, arc.u[lo[live]], arc.u[hi[live]], h[lo[live]],
+                                h[hi[live]], 64, ftol=4 * np.finfo(float).eps)
+            X = logit_points(0.5 * (a + b))
+            cands[live] = X / f._values(X)[:, None]
     dists = np.linalg.norm(cands, axis=1)
     j = int(np.argmin(dists))
     best = cands[j]
@@ -439,23 +426,17 @@ def symmetric_selfdual_probe(f):
     """Probe the unique-symmetric-self-dual property in the plane.
 
     If ``f`` is symmetric and self-dual it must coincide with sqrt(2xy);
-    the report carries the symmetry defect, the self-duality deviation and
-    the distance to sqrt(2xy) on a log-uniform grid of 1000 antisphere
-    points (log spacing resolves the behavior near the axis rays, where
-    polygonal candidates deviate most), judged at tol = 1e-7.
+    the report carries the symmetry defect |f(s) - f(s reflected)|, the
+    self-duality deviation and the distance |1 - sqrt(2 s_1 s_2)| to
+    sqrt(2xy), both at the points s of ``f.arc`` (logit spacing resolves
+    the behavior near the axis rays, where polygonal candidates deviate
+    most), judged at tol = 1e-7.
     """
     if f.dim != 2:
         raise DimensionMismatchError("the symmetric probe is 2-dimensional")
     tol = 1e-7
-    tau = np.linspace(-12.0, 12.0, 1000)
-    phis = np.arctan(np.exp(tau))
-    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    vals = f._values(U)
-    sym_dev = float(np.max(np.abs(vals - f._values(U[:, ::-1]))))
-    symmetric = sym_dev <= tol
+    S = f.arc.points
+    sym_dev = float(np.max(np.abs(f._values(S) - f._values(S[:, ::-1]))))
     ok, sd_dev = is_selfdual(f, tol=tol, n_grid=1000)
-    keep = vals > 1e-15
-    S = U[keep] / vals[keep, None]
-    hyper = np.abs(1.0 - np.sqrt(2.0 * S[:, 0] * S[:, 1]))
-    hyper_dev = float(np.max(hyper)) if len(S) else math.inf
-    return SymmetricProbeReport(symmetric, sym_dev, ok, sd_dev, hyper_dev, tol)
+    hyper_dev = float(np.max(np.abs(1.0 - np.sqrt(2.0 * S[:, 0] * S[:, 1]))))
+    return SymmetricProbeReport(sym_dev <= tol, sym_dev, ok, sd_dev, hyper_dev, tol)

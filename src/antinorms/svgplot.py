@@ -62,12 +62,8 @@ def _clip(points):
 
 
 def antisphere_points(f):
-    """Antisphere of a 2-d antinorm in 400 directions; ``render`` clips it."""
-    phis = np.linspace(1e-4, np.pi / 2 - 1e-4, 400)
-    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    vals = f._values(U)
-    keep = vals > 1e-9
-    return list(U[keep] / vals[keep, None])
+    """Antisphere of a 2-d antinorm, the points of ``f.arc``; ``render`` clips it."""
+    return list(f.arc.points)
 
 
 def polygon_chain(V):

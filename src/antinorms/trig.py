@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from ._search import bracket_root, brentq
 from .errors import DimensionMismatchError, ThetaRangeError
-from .exprs import PLAntinorm, as_pl, as_point
+from .exprs import as_pl, as_point
 from .selfdual import closest_antisphere_point
 
 __all__ = [

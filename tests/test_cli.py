@@ -462,3 +462,47 @@ def test_one_vertex_enumeration_per_pl_body(files, monkeypatch):
         assert main([*argv, "--quiet"]) == 0
         counts.append(len(calls) - sum(counts))
     assert counts == [1, 1, 1, 1]
+
+
+def test_builtin_min_has_one_pl_form_for_trig(files, monkeypatch):
+    # as_pl keeps the form on the instance, so trig's context and its
+    # self-duality test share one body: that body and its dual's enumerate
+    from antinorms import geometry
+    from antinorms.exprs import as_pl, symmetrize
+
+    for f in (catalog("min", dim=2), catalog("sum", dim=3),
+              symmetrize(PLAntinorm([[1.0, 0.3], [0.2, 2.0]]), -math.inf)):
+        assert as_pl(f) is as_pl(f)
+    tmp, write = files
+    calls = []
+    enumerate_vertices = geometry._enumerate_vertices
+    monkeypatch.setattr(geometry, "_enumerate_vertices",
+                        lambda H: calls.append(len(H)) or enumerate_vertices(H))
+    inp = write("min.json", {"type": "builtin", "name": "min", "dim": 2})
+    assert main(["trig", "--antinorm", inp, "--theta-range", "-1:1:5",
+                 "--output", str(tmp / "trig.csv"), "--quiet"]) == 0
+    assert len(calls) == 2
+
+
+def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
+    # dual, selfdual-check and trig on a self-dual product read one _Arc of
+    # their input: the dual's support queries, the contact search and the
+    # self-duality probe all query the table the antinorm keeps
+    from antinorms import ProductAntinorm
+    from antinorms.exprs import _Arc
+
+    tmp, write = files
+    built = []
+    init = _Arc.__init__
+    monkeypatch.setattr(_Arc, "__init__",
+                        lambda self, f, u: built.append(type(f).__name__) or init(self, f, u))
+    inp = write("prod.json", expr_to_dict(ProductAntinorm.selfdual([0.3, 0.7])))
+    counts = []
+    for argv in (["dual", "--input", inp, "--output", str(tmp / "dual.json")],
+                 ["selfdual-check", "--input", inp, "--json"],
+                 ["trig", "--antinorm", inp, "--theta-range", "-1:1:5",
+                  "--output", str(tmp / "trig.csv")]):
+        assert main([*argv, "--quiet"]) == 0
+        counts.append(built.count("ProductAntinorm"))
+        built.clear()
+    assert counts == [1, 1, 1]

@@ -18,7 +18,7 @@ from antinorms import (
     symmetrize,
     young_check,
 )
-from antinorms import duality
+from antinorms import duality, exprs
 from antinorms.duality import _dual2_batch, dual_values
 from antinorms._search import logit_points
 from antinorms.exprs import _Arc, continuous_extension_eval
@@ -284,7 +284,7 @@ def test_min_eps_kink_on_the_table_grid_closes_without_a_search():
     grads = f._grads
     f._grads = lambda X: calls.append(len(X)) or grads(X)
     vals = dual_values(f, P)
-    assert calls[0] == len(duality._DUAL_U) and len(calls) - 1 <= 2   # the table, then no search
+    assert calls[0] == len(exprs._DUAL_U) and len(calls) - 1 <= 2   # the table, then no search
     expect = P.sum(axis=1) / (1.0 + eps)
     assert np.all(np.abs(vals - expect) <= 4 * np.spacing(expect))
     # away from the kink the closed form still holds
@@ -302,7 +302,7 @@ def test_arc_of_a_cone_split_queries_its_k1_arc_once():
     calls = []
     support = f._arc.support
     f._arc.support = lambda P: calls.append(len(P)) or support(P)
-    arc = _Arc(f, duality._DUAL_U)
+    arc = _Arc(f, exprs._DUAL_U)
     assert len(calls) == 1
     X = logit_points(arc.u)
     assert np.array_equal(arc.points, X / f._values(X)[:, None])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ def test_perron_certificate_exact():
     f = perron_certificate(A)
     gamma = lsr_lower_certificate(MatrixFamily([A]), f)
     assert gamma == pytest.approx(3.0, abs=1e-9)
+
+
+def test_pl_certificate_is_rounded_below_the_exact_gamma():
+    # f = <u, x> has the vertices e_i / u_i, so the exact gamma of the float
+    # certificate is min_i (u A)_i / u_i in rationals; the float minimum
+    # over the rounded vertices exceeded it in about half of these cases
+    # until it was rounded down
+    for A in np.random.default_rng(17).uniform(0.0, 1.0, (2000, 2, 2)):
+        f = perron_certificate(A)
+        u = [Fraction(v) for v in f.functionals[0].tolist()]
+        M = [[Fraction(v) for v in row] for row in A.tolist()]
+        exact = min((u[0] * M[0][i] + u[1] * M[1][i]) / u[i] for i in range(2) if u[i] > 0)
+        assert Fraction(lsr_lower_certificate(MatrixFamily([A]), f)) <= exact
 
 
 def test_certificate_homogeneous_family():
