@@ -14,8 +14,10 @@ package.  Callers:
   literal theta of a batch).
 * ``logit_points``: ``exprs._Arc`` (the only table of a 2-d antisphere),
   the roots of ``selfdual.closest_antisphere_point`` and
-  ``dynamics.lsr_lower_certificate``, ``selfdual._probe_grid``,
-  ``dynamics.transpose_extremal_check`` and CLI ``dual``.
+  ``dynamics.lsr_lower_certificate``, ``trig._SmoothBoundary`` (its
+  quadrature nodes on the cells of ``Antinorm.arc`` and its roots),
+  ``selfdual._probe_grid``, ``dynamics.transpose_extremal_check`` and CLI
+  ``dual``.
 * ``simplex_grid``, always in d >= 3, built once per (d, n) and shared
   read-only: ``duality._dual_nd``, ``selfdual._probe_grid``,
   ``dynamics.lsr_lower_certificate``, ``geometry._extreme_by_direction``

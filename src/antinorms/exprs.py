@@ -140,7 +140,8 @@ class Antinorm:
     def arc(self):
         """The antisphere {f = 1} of a 2-d antinorm as one ``_Arc`` on
         ``_DUAL_U``, built on first use and kept: the 2-d dual, the contact
-        search, the lower certificate, the symmetric probe and the plot."""
+        search, the lower certificate, the symmetric probe, the plot of a
+        non-PL antinorm and the cells of trig's sector quadrature."""
         if self.dim != 2:
             raise DimensionMismatchError("the antisphere table is 2-dimensional")
         return _Arc(self, _DUAL_U)

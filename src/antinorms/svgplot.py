@@ -8,6 +8,8 @@ a curve that leaves the box and comes back is drawn as separate pieces.
 
 import numpy as np
 
+from .exprs import as_pl
+
 VIEW = 3.0
 SIZE = 480
 BOX = 1.2 * VIEW
@@ -62,8 +64,10 @@ def _clip(points):
 
 
 def antisphere_points(f):
-    """Antisphere of a 2-d antinorm, the points of ``f.arc``; ``render`` clips it."""
-    return list(f.arc.points)
+    """Antisphere of a 2-d antinorm, ``render`` clips it: a PL antinorm's
+    vertex chain (``polygon_chain``), else the points of ``f.arc``."""
+    pl = as_pl(f)
+    return polygon_chain(pl.body.vertices()) if pl is not None else list(f.arc.points)
 
 
 def polygon_chain(V):

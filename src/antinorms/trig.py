@@ -18,11 +18,12 @@ conventions are implemented:
   linked pointwise by  theta_literal = xi * eta - theta_sector  in frame
   coordinates.
 
-Each boundary (a polyline for PL antinorms, a quadrature table otherwise)
-works on batches: ``locate`` maps points to sector positions (NaN where a
-point has none) and ``point_at`` in-range positions to points.  Theta
-becomes a position by a shift in sector mode and by one ``bracket_root``
-over all rows in literal mode.
+Each boundary (a polyline for PL antinorms, otherwise a quadrature on the
+cells of the antinorm's one antisphere table ``f.arc``) works on batches:
+``locate`` maps points to sector positions (NaN where a point has none) and
+``point_at`` in-range positions to points.  Theta becomes a position by a
+shift in sector mode and by one ``bracket_root`` over all rows in literal
+mode.
 
 Orientation: theta grows toward the OY side of the contact ray, which
 makes sinh_G of the hyperbola agree in sign with the classical sinh.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
-from ._search import bracket_root, brentq
+from ._search import bracket_root, brentq, logit_points
 from .errors import DimensionMismatchError, ThetaRangeError
 from .exprs import as_pl, as_point
 from .selfdual import closest_antisphere_point
@@ -120,31 +121,31 @@ class _PolylineBoundary:
 
 
 class _SmoothBoundary:
-    """Antisphere parametrized by polar angle with interpolated sector areas.
+    """Antisphere of a smooth antinorm with interpolated sector areas, on the
+    cells of ``f.arc``.
 
-    Sector position is the cumulative integral of r(phi)^2, r = 1/f(cos phi,
-    sin phi), on a grid uniform in tau = log tan phi (log spacing resolves
-    the approach to the axes).  Each cell keeps the antiderivative of the
-    Legendre interpolant through its 16 Gauss-Legendre samples, so ``locate``
-    calls no antinorm and ``point_at`` runs ``brentq`` on cell polynomials.
-    The cell areas are summed outward from the cell of the ``contact``
-    direction, whose left end is position 0, so positions near the contact
-    keep their digits however large the area toward an axis grows.
-    The grid spans tau in [-L, L]; positions beyond the grid are out of
-    range, which only truncates antinorms whose sector area diverges toward
-    an axis.
+    A direction is tau = log(x_2/x_1) = -u for the logit u of ``f.arc``, so
+    the cell edges are that table's nodes, read backward.  The sector
+    position, twice the area swept by x/f(x), grows with tau at the rate
+    x_1 x_2/f(x)^2 at the point x = ``logit_points(-tau)``.  Each cell
+    keeps the antiderivative of the Legendre interpolant through the rate at
+    its 16 Gauss-Legendre nodes, so ``locate`` calls no antinorm and
+    ``point_at`` runs ``brentq`` on cell polynomials.  The cell areas are
+    summed outward from the cell of the ``contact`` direction, whose left
+    end is position 0, so positions near the contact keep their digits
+    however large the area toward an axis grows.  Positions beyond the
+    table's ends are out of range, which only truncates antinorms whose
+    sector area diverges toward an axis.
     """
-
-    L = 16.0
-    N = 2001
 
     def __init__(self, f, contact):
         self.f = f
-        self.taus = np.linspace(-self.L, self.L, self.N)
+        self.taus = -f.arc.u[::-1]
         self.mid = 0.5 * (self.taus[1:] + self.taus[:-1])
         self.half = 0.5 * np.diff(self.taus)
         nodes = self.mid[:, None] + self.half[:, None] * _GL_X[None, :]
-        vals = self._integrand(nodes.ravel()).reshape(nodes.shape)
+        X = logit_points(-nodes.ravel())
+        vals = (X[:, 0] * X[:, 1] / np.maximum(f._values(X), 1e-300) ** 2).reshape(nodes.shape)
         # the interpolant's Legendre coefficients, by the nodes' discrete orthogonality
         coef = vals @ (legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5))
         self.anti = legint(coef, lbnd=-1, axis=1) * self.half[:, None]
@@ -152,26 +153,19 @@ class _SmoothBoundary:
         c = int(self._cells(contact[None])[0][0])
         self.cum = np.concatenate([-np.cumsum(area[:c][::-1])[::-1], [0.0], np.cumsum(area[c:])])
 
-    def _integrand(self, tau):
-        phi = np.arctan(np.exp(tau))
-        U = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        fv = self.f._values(np.atleast_2d(U))
-        r2 = 1.0 / np.maximum(fv, 1e-300) ** 2
-        return r2 / (2.0 * np.cosh(tau))
-
     def _pos(self, i, tau):
         """Position at tau in cell i, for a cell and tau or one of each per row."""
         x = (tau - self.mid[i]) / self.half[i]
         return self.cum[i] + legval(x, self.anti[i].T, tensor=False)
 
     def _cells(self, P):
-        """Cell and tau (clipped to the grid) of each row's direction; tau is
-        NaN outside the open orthant."""
-        phi = np.arctan2(P[:, 1], P[:, 0])
-        inside = (0.0 < phi) & (phi < math.pi / 2)
+        """Cell and tau (clipped to the table) of each row's direction; tau
+        is NaN outside the open orthant."""
+        inside = (P[:, 0] > 0) & (P[:, 1] > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(inside, np.clip(np.log(np.tan(phi)), -self.L, self.L), np.nan)
-        return np.clip(np.searchsorted(self.taus, tau) - 1, 0, self.N - 2), tau
+            tau = np.where(inside, np.clip(np.log(P[:, 1] / P[:, 0]), self.taus[0], self.taus[-1]),
+                           np.nan)
+        return np.clip(np.searchsorted(self.taus, tau) - 1, 0, len(self.taus) - 2), tau
 
     def corners(self):
         return np.empty((0, 2))
@@ -187,16 +181,15 @@ class _SmoothBoundary:
         """The point at each in-range position: the root of its cell's
         position polynomial, then one antinorm call for all rows."""
         tau = np.empty(len(q))
-        for r, i in enumerate(np.clip(np.searchsorted(self.cum, q) - 1, 0, self.N - 2)):
+        for r, i in enumerate(np.clip(np.searchsorted(self.cum, q) - 1, 0, len(self.taus) - 2)):
             lo, hi = self.taus[i], self.taus[i + 1]
             glo, ghi = self._pos(i, lo) - q[r], self._pos(i, hi) - q[r]
             if glo > 0 or ghi < 0:  # numerical slack at bin edges
                 tau[r] = lo if abs(glo) < abs(ghi) else hi
             else:
                 tau[r] = brentq(lambda t: self._pos(i, t) - q[r], lo, hi, xtol=1e-14)
-        phi = np.arctan(np.exp(tau))
-        U = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        return U / self.f._values(U)[:, None]
+        X = logit_points(-tau)
+        return X / self.f._values(X)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import antinorms
 from antinorms import catalog
 from antinorms.cli import main
 from antinorms.serialize import expr_to_dict, family_to_dict
+from antinorms.svgplot import antisphere_points
 from antinorms import MatrixFamily, PLAntinorm, TrigContext
 
 
@@ -125,6 +126,20 @@ def test_lsr_command(files, capsys):
     assert out["estimate_low"] <= math.sqrt(2) <= out["estimate_high"]
 
 
+def test_lsr_prints_no_sampled_lower_in_d5(files, capsys):
+    # in d >= 5 the lower certificate would be sampled on a simplex grid
+    tmp, write = files
+    rng = np.random.default_rng(5)
+    mats = [np.diag(1.0 + rng.random(5)) + (rng.random((5, 5)) < 0.3) * rng.random((5, 5))
+            for _ in range(2)]
+    fam = write("fam5.json", family_to_dict(MatrixFamily(mats)))
+    assert main(["lsr", "--family", fam, "--max-len", "4", "--iters", "4",
+                 "--json", "--quiet"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lower"] is None and out["upper"] > 0
+    assert set(out) == _KEYS["lsr"]
+
+
 def test_lyapunov_command_with_antinorm(files, capsys):
     tmp, write = files
     q = 0.8
@@ -170,6 +185,20 @@ def test_trig_svg_draws_the_antisphere(files):
     assert main(["trig", "--antinorm", write("h.json", expr_to_dict(catalog("sqrt2xy"))),
                  "--theta-range", "-1:1:3", "--svg", svg, "--output", str(tmp / "h.csv"),
                  "--quiet"]) == 0
+    assert "<polyline" in open(svg).read()
+
+
+def test_trig_svg_draws_a_pl_antisphere_through_its_vertices(files):
+    tmp, write = files
+    f = PLAntinorm([[1.0, 0.2], [0.3, 1.0]])
+    curve = np.array(antisphere_points(f))
+    a, d = curve[:-1], np.diff(curve, axis=0)
+    for v in f.body.vertices():
+        t = np.clip(np.einsum("ij,ij->i", v - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+        assert np.min(np.linalg.norm(a + t[:, None] * d - v, axis=1)) <= 1e-12
+    svg = str(tmp / "pl.svg")
+    assert main(["trig", "--antinorm", write("pl.json", expr_to_dict(f)), "--theta-range",
+                 "-1:1:3", "--svg", svg, "--output", str(tmp / "pl.csv"), "--quiet"]) == 0
     assert "<polyline" in open(svg).read()
 
 
@@ -333,7 +362,7 @@ _KEYS = {
     "lsr": {"lower", "upper", "witness_product", "iterations", "estimate_low",
             "estimate_high", "certificate_functionals"},
     "lyapunov": {"estimate", "stderr", "steps", "trials", "seed", "antinorm_check"},
-    "ct-check": {"eps", "eps_dual", "s", "samples", "seed"},
+    "ct-check": {"eps", "s", "samples", "seed"},
     "demo-discontinuity": {"eps", "dual_at_e1", "limit_dual_at_e1", "max_bound_excess"},
     "dual": {"dual", "report"},
     "autopolar": {"k", "vertices", "contact", "a0_angle", "step_params"},

@@ -19,6 +19,7 @@ from antinorms import (
     random_autopolar_seed,
     theta_of_point,
 )
+from antinorms._search import logit_points
 
 HYP = TrigContext.build(catalog("sqrt2xy"))
 K1 = construct2(AutopolarSeed(1, math.atan2(0.8, 0.6)))
@@ -182,7 +183,7 @@ def _inversion_contexts():
 @pytest.mark.parametrize("ctx, exact", _inversion_contexts(),
                          ids=["sqrt2xy", "product", "cone_split", "cone_split_upper"])
 def test_batched_inversion_is_one_antinorm_call_and_inverts_theta(ctx, exact):
-    lo, hi = ctx.theta_range()   # the tau window ends the range of some below 3
+    lo, hi = ctx.theta_range()   # the table's end cuts the range of some below 3
     thetas = np.linspace(max(lo, -3.0), min(hi - 0.01, 3.0), 25)
     calls = []
     values = ctx.f._values
@@ -197,6 +198,31 @@ def test_batched_inversion_is_one_antinorm_call_and_inverts_theta(ctx, exact):
         CS = ctx.frame_coords(P)
         assert np.all(np.abs(CS - np.stack([np.cosh(thetas), np.sinh(thetas)], axis=1))
                       <= 1e-13 * np.cosh(thetas)[:, None])
+
+
+@pytest.mark.parametrize("w", [0.3, 0.45, 0.7])
+def test_product_theta_matches_the_closed_form(w):
+    # f = c x^w y^(1-w): along u = log(P_0/P_1) the sector rate is e^((1-2w)u)/c^2
+    f = ProductAntinorm.selfdual([w, 1.0 - w])
+    ctx = TrigContext.build(f)
+    c, a = f.value([0.5, 0.5]) / 0.5, 1.0 - 2.0 * w
+    u = np.linspace(-8.0, 8.0, 33)
+    X = logit_points(u)
+    u_c = math.log(ctx.contact[0] / ctx.contact[1])
+    exact = (math.exp(a * u_c) - np.exp(a * u)) / (a * c * c)
+    theta = np.array([ctx.theta_of_point(x / f.value(x)) for x in X])
+    assert np.all(np.abs(theta - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_smooth_boundary_integrates_on_the_arc_cells():
+    f = ProductAntinorm.selfdual([0.3, 0.7])
+    quad = 16 * (len(f.arc.u) - 1)   # builds f.arc before the count
+    calls = []
+    values = f._values
+    f._values = lambda X: calls.append(len(X)) or values(X)
+    ctx = TrigContext.build(f)
+    assert np.array_equal(ctx._boundary.taus, -f.arc.u[::-1])
+    assert max(calls) == quad and sum(calls) < quad + 16   # besides, a few single points
 
 
 def test_batched_point_at_marks_rows_outside_the_range():
