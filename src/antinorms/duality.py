@@ -8,7 +8,10 @@ implemented and checked here:
   of the antiball of f (``dual_pl``),
 * a numeric dual estimate for black-box antinorms (``dual_numeric``),
 * ``dual_values``, the one batched entry point for dual values: exact for
-  piecewise-linear antinorms of dim <= 4, numeric otherwise,
+  piecewise-linear antinorms of dim <= 4, the closed form an antinorm
+  knows (``_dual_values``: weighted AM-GM for products, ``sqrt2xy``,
+  ``circle_arc`` and ``rootsum3`` in the catalog) next, numeric only where
+  neither applies,
 * the Young-type inequality  f*(p) f(x) <= <p, x>  (``young_check``); note
   the product bounds the pairing from *below*, the reverse of the norm
   case, since the dual is an infimum,
@@ -237,8 +240,8 @@ def dual_numeric(f, p, tol=DEFAULT.dual):
     agree within ``tol`` relative.  The search budget is the program's
     choice, a smaller one when f is itself a numeric dual
     (``_numeric_duals``).  The result is an estimate, not a certified
-    bound, and stays numeric for piecewise-linear input (``dual_values``
-    takes the exact path).  ``tol`` must be positive.
+    bound, and stays numeric for every input, also where ``dual_values``
+    takes the exact PL path or a closed form.  ``tol`` must be positive.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -248,12 +251,15 @@ def dual_numeric(f, p, tol=DEFAULT.dual):
 
 def dual_values(f, P):
     """Dual values f*(p) at the rows of ``P``: exact (``dual_pl``) for a
-    piecewise-linear antinorm of dim <= 4, numeric estimates otherwise."""
+    piecewise-linear antinorm of dim <= 4, the closed form ``f._dual_values``
+    where f has one (products, ``sqrt2xy``, ``circle_arc``, ``rootsum3``),
+    numeric estimates (``_numeric_duals``) otherwise."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     pl = as_pl(f)
     if pl is not None and pl.dim <= 4:
         return dual_pl(pl)._values(P)
-    return _numeric_duals(f, P, DEFAULT.dual)
+    closed = f._dual_values(P)
+    return _numeric_duals(f, P, DEFAULT.dual) if closed is None else closed
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ class Antinorm:
         """``_values`` and ``_grads`` together, for one search that yields both."""
         return self._values(X), self._grads(X)
 
+    def _dual_values(self, P):
+        """The dual f*(p) at the rows of ``P`` in closed form, or None where
+        the package knows none (``duality.dual_values`` then searches)."""
+        return None
+
     @functools.cached_property
     def arc(self):
         """The antisphere {f = 1} of a 2-d antinorm as one ``_Arc`` on
@@ -229,29 +234,34 @@ class ProductAntinorm(Antinorm):
     def selfdual(cls, weights):
         """Weighted geometric mean scaled to be exactly self-dual.
 
-        The dual of c * prod x^{p_i} is (c * prod p_i^{p_i})^{-1} prod x^{p_i},
-        so self-duality requires c = prod p_i^{-p_i/2} = exp(H(p)/2); this
-        reduces to sqrt(d) exactly for uniform weights.
+        The dual of c * prod x^{p_i} is (c * prod p_i^{p_i})^{-1} prod x^{p_i}
+        (``_dual_values``), so self-duality requires
+        c = prod p_i^{-p_i/2} = exp(H(p)/2); this reduces to sqrt(d) exactly
+        for uniform weights.
         """
         w = np.asarray(weights, dtype=float)
         pos = w > 0
         c = math.exp(-0.5 * float(np.sum(w[pos] * np.log(w[pos]))))
         return cls(w, scale=c)
 
-    def _values(self, X):
-        w = self.weights
-        active = w > 0
-        if not np.any(active):
-            return np.full(X.shape[0], self.scale)
+    def _geometric_mean(self, X):
+        """prod over weights p_i > 0 of x_i^{p_i} at the rows of X; 0 where such an x_i is 0."""
+        active = self.weights > 0
         Xa = X[:, active]
-        wa = w[active]
         zero = np.any(Xa == 0, axis=1)
         out = np.zeros(X.shape[0])
-        if np.any(~zero):
-            # not a BLAS product, whose rounding depends on the batch size
-            logs = np.einsum("ij,j->i", np.log(Xa[~zero]), wa)
-            out[~zero] = self.scale * np.exp(logs)
+        # not a BLAS product, whose rounding depends on the batch size
+        out[~zero] = np.exp(np.einsum("ij,j->i", np.log(Xa[~zero]), self.weights[active]))
         return out
+
+    def _values(self, X):
+        return self.scale * self._geometric_mean(X)
+
+    def _dual_values(self, P):
+        # weighted AM-GM with the weights w: min over x of <p, x>/f(x) is
+        # prod over w_i > 0 of (p_i/w_i)^{w_i} / c, attained at x_i = w_i/p_i
+        w = self.weights
+        return self._geometric_mean(P / np.where(w > 0, w, 1.0)) / self.scale
 
     def _grads(self, X):
         pos = (self.weights > 0) & (X > 0)
@@ -260,7 +270,7 @@ class ProductAntinorm(Antinorm):
         return np.where(pos, G, 0.0)
 
     def __repr__(self):
-        return f"ProductAntinorm(weights={self.weights.tolist()})"
+        return f"ProductAntinorm(weights={self.weights.tolist()}, scale={self.scale!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +341,29 @@ def _g_circle_arc(X, params):
     return (1.0 + X[:, ::-1] / r[:, None]) / params["radius"]
 
 
+def _d_rootsum3(P, params):
+    with np.errstate(divide="ignore"):   # a zero p_i makes the sum inf and the dual 0
+        return 1.0 / np.add.reduce(1.0 / P, axis=1)
+
+
+def _d_circle_arc(P, params):
+    # min over the near arc of <p, s>, R (p1 + p2) - R |p|, without its
+    # cancellation near an axis
+    den = np.maximum(P.sum(axis=1) + np.hypot(P[:, 0], P[:, 1]), 1e-300)
+    return 2.0 * params["radius"] * P[:, 0] * P[:, 1] / den
+
+
 _CATALOG = {
-    # name: (dim or None for any, value fn, grad fn or None, default params)
-    "sum": (None, _v_sum, _g_sum, {}),
-    "min": (None, _v_min, _g_min, {}),
-    "sqrt2xy": (2, _v_sqrt2xy, _g_sqrt2xy, {}),
-    "min_eps": (2, _v_min_eps, _g_min_eps, {"eps": 0.5}),
-    "rootsum3": (3, _v_rootsum3, _g_rootsum3, {}),
-    "rootsum3_drop": (3, _v_rootsum3_drop, None, {}),
-    "circle_arc": (2, _v_circle_arc, _g_circle_arc, {"radius": 1.0 + math.sqrt(2.0)}),
+    # name: (dim or None for any, value fn, grad fn or None, dual fn or None,
+    # default params); sum and min take the exact PL dual, a None dual a search
+    "sum": (None, _v_sum, _g_sum, None, {}),
+    "min": (None, _v_min, _g_min, None, {}),
+    "sqrt2xy": (2, _v_sqrt2xy, _g_sqrt2xy, _v_sqrt2xy, {}),
+    "min_eps": (2, _v_min_eps, _g_min_eps, None, {"eps": 0.5}),
+    "rootsum3": (3, _v_rootsum3, _g_rootsum3, _d_rootsum3, {}),
+    "rootsum3_drop": (3, _v_rootsum3_drop, None, None, {}),
+    "circle_arc": (2, _v_circle_arc, _g_circle_arc, _d_circle_arc,
+                   {"radius": 1.0 + math.sqrt(2.0)}),
 }
 
 
@@ -354,7 +378,7 @@ class BuiltinAntinorm(Antinorm):
     def __init__(self, name, dim=None, **params):
         if name not in _CATALOG:
             raise KeyError(f"unknown catalog antinorm {name!r}; have {sorted(_CATALOG)}")
-        fixed_dim, vfn, gfn, defaults = _CATALOG[name]
+        fixed_dim, vfn, gfn, dfn, defaults = _CATALOG[name]
         if fixed_dim is not None:
             if dim is not None and dim != fixed_dim:
                 raise DimensionMismatchError(f"{name!r} is {fixed_dim}-dimensional")
@@ -366,6 +390,7 @@ class BuiltinAntinorm(Antinorm):
         self.params = {**defaults, **params}
         self._vfn = vfn
         self._gfn = gfn
+        self._dfn = dfn
 
     def _values(self, X):
         return self._vfn(X, self.params)
@@ -374,6 +399,9 @@ class BuiltinAntinorm(Antinorm):
         if self._gfn is None:
             return super()._grads(X)
         return self._gfn(X, self.params)
+
+    def _dual_values(self, P):
+        return None if self._dfn is None else self._dfn(P, self.params)
 
     def __repr__(self):
         extra = f", {self.params}" if self.params else ""

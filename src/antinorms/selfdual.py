@@ -400,7 +400,8 @@ def is_selfdual(f, tol=1e-7, n_grid=1000):
     """Decide f* = f by comparing dual and primal values on a probe grid.
 
     The dual values come from ``dual_values``: exact for piecewise-linear
-    antinorms, numeric otherwise.  Returns ``(verdict, max deviation)``.
+    antinorms, closed form for products, ``sqrt2xy``, ``circle_arc`` and
+    ``rootsum3``, numeric otherwise.  Returns ``(verdict, max deviation)``.
     """
     X = _probe_grid(f.dim, n_grid)
     dev = float(np.max(np.abs(dual_values(f, X) - f._values(X))))

@@ -348,12 +348,14 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
 
     t* is the parameter of the pole q of the support line at P_t on the
     dual antisphere; for a self-dual context the same context serves as its
-    own dual.  Points within 1e-4 of a polygon corner have a set-valued
-    support line and are skipped and counted separately.  One ``point_at``
-    call inverts all thetas and one more all t*.  ``residuals`` holds each
-    theta's: NaN if skipped, inf (checked) if q has no t*, or one whose
-    point is not q within 1e-9 (relative): literal theta is 0 all along a
-    dual piece on the tangent at the contact (A_0 -> A_{-1} when autopolar).
+    own dual.  Both frames are one rotation, so the residual is
+    |<P_t, Q_t*> - 1| in plain coordinates.  Points within 1e-4 of a polygon
+    corner have a set-valued support line and are skipped and counted
+    separately.  One ``point_at`` call inverts all thetas and one more all
+    t*.  ``residuals`` holds each theta's: NaN if skipped, inf (checked) if
+    q has no t*, or one whose point is not q within 1e-9 (relative): literal
+    theta is 0 all along a dual piece on the tangent at the contact
+    (A_0 -> A_{-1} when autopolar).
     """
     if ctx_dual is None:
         ctx_dual = ctx
@@ -377,7 +379,8 @@ def identity_check(ctx, thetas=None, ctx_dual=None, n_samples=200):
     Q_star = ctx_dual.point_at(th_star[found])
     off = (np.linalg.norm(Q_star - Q[found], axis=1)
            > 1e-9 * (1.0 + np.linalg.norm(Q[found], axis=1)))
-    r = np.abs(np.sum(ctx.frame_coords(P[found]) * ctx_dual.frame_coords(Q_star), axis=1) - 1.0)
+    # not in frame coordinates, where cosh t cosh t* cancels against sinh t sinh t*
+    r = np.abs(np.einsum("ij,ij->i", P[found], Q_star) - 1.0)
     res[found] = np.where(np.isnan(r) | off, np.inf, r)
     checked = ~np.isnan(res)
     return IdentityReport(float(np.max(res[checked], initial=0.0)), int(checked.sum()),

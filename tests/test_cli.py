@@ -514,9 +514,11 @@ def test_builtin_min_has_one_pl_form_for_trig(files, monkeypatch):
 
 
 def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
-    # dual, selfdual-check and trig on a self-dual product read one _Arc of
-    # their input: the dual's support queries, the contact search and the
-    # self-duality probe all query the table the antinorm keeps
+    # dual, selfdual-check and trig read at most one _Arc of their input: on
+    # min_eps, which has no closed-form dual, the dual's support queries, the
+    # contact search and the self-duality probe all query the table the
+    # antinorm keeps; a self-dual product takes its closed-form dual, so
+    # only trig's quadrature builds its table
     from antinorms import ProductAntinorm
     from antinorms.exprs import _Arc
 
@@ -525,13 +527,16 @@ def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
     init = _Arc.__init__
     monkeypatch.setattr(_Arc, "__init__",
                         lambda self, f, u: built.append(type(f).__name__) or init(self, f, u))
-    inp = write("prod.json", expr_to_dict(ProductAntinorm.selfdual([0.3, 0.7])))
-    counts = []
-    for argv in (["dual", "--input", inp, "--output", str(tmp / "dual.json")],
-                 ["selfdual-check", "--input", inp, "--json"],
-                 ["trig", "--antinorm", inp, "--theta-range", "-1:1:5",
-                  "--output", str(tmp / "trig.csv")]):
-        assert main([*argv, "--quiet"]) == 0
-        counts.append(built.count("ProductAntinorm"))
-        built.clear()
-    assert counts == [1, 1, 1]
+    # (input, tables built per command, exit codes: min_eps is not self-dual)
+    for f, expect, codes in ((ProductAntinorm.selfdual([0.3, 0.7]), [0, 0, 1], [0, 0, 0]),
+                             (catalog("min_eps"), [1, 1, 1], [0, 1, 0])):
+        inp = write("f.json", expr_to_dict(f))
+        counts, exits = [], []
+        for argv in (["dual", "--input", inp, "--output", str(tmp / "dual.json")],
+                     ["selfdual-check", "--input", inp, "--json"],
+                     ["trig", "--antinorm", inp, "--theta-range", "-1:1:5",
+                      "--output", str(tmp / "trig.csv")]):
+            exits.append(main([*argv, "--quiet"]))
+            counts.append(built.count(type(f).__name__))
+            built.clear()
+        assert (counts, exits) == (expect, codes), f

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,59 @@ def test_dual_values_takes_the_exact_path_for_pl(f, monkeypatch):
     monkeypatch.setattr(duality, "minimize", numeric)
     P = np.random.default_rng(4).lognormal(0.0, 1.0, size=(25, f.dim))
     assert np.array_equal(dual_values(f, P), dual_pl(f)._values(P))
+
+
+_CLOSED_FORMS = [ProductAntinorm([0.3, 0.7], scale=1.7), ProductAntinorm.selfdual([0.45, 0.55]),
+                 ProductAntinorm([0.2, 0.0, 0.8]), ProductAntinorm.selfdual([0.2, 0.3, 0.5]),
+                 catalog("sqrt2xy"), catalog("circle_arc", radius=1.5),
+                 catalog("circle_arc", radius=2.5), catalog("circle_arc", radius=4.0),
+                 catalog("rootsum3")]
+_CLOSED_IDS = ["product2", "selfdual2", "product3_w0", "selfdual3", "sqrt2xy",
+               "circle1.5", "circle2.5", "circle4", "rootsum3"]
+
+
+@pytest.mark.parametrize("f", _CLOSED_FORMS, ids=_CLOSED_IDS)
+def test_closed_form_duals_match_the_numeric_search(f):
+    P = np.random.default_rng(8).lognormal(0.0, 1.0, size=(12, f.dim))
+    numeric = duality._numeric_duals(f, P, 1e-10)
+    assert np.max(np.abs(dual_values(f, P) / numeric - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("f", _CLOSED_FORMS, ids=_CLOSED_IDS)
+def test_dual_values_takes_the_closed_form_without_a_search(f, monkeypatch):
+    def numeric(*args, **kwargs):
+        raise AssertionError("numeric dual called for an antinorm with a closed-form dual")
+
+    monkeypatch.setattr(duality, "_dual2_batch", numeric)
+    monkeypatch.setattr(duality, "minimize", numeric)
+    P = np.random.default_rng(4).lognormal(0.0, 1.0, size=(25, f.dim))
+    assert np.array_equal(dual_values(f, P), f._dual_values(P))
+
+
+@pytest.mark.parametrize("f", _CLOSED_FORMS, ids=_CLOSED_IDS)
+def test_closed_form_dual_is_0_at_a_zero_coordinate(f):
+    # f*(p) = 0 when p_j = 0 (take x = e_j), except for a product whose
+    # weight w_j is 0, where x_j does not enter f
+    P = np.vstack([np.zeros(f.dim), 2.0 - np.eye(f.dim) * 2.0])
+    free = np.append(False, getattr(f, "weights", np.ones(f.dim)) == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = dual_values(f, P)
+    assert np.all(vals[~free] == 0.0) and np.all(vals[free] > 0.0)
+
+
+def test_closed_form_dual_of_a_selfdual_product_is_itself():
+    # each side is exp of a weighted sum of logs; its rounding grows with
+    # the size of the logs, 4 ulps per unit of sum_i w_i |log p_i|
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(9)
+    for d in (2, 3, 4, 5, 6):
+        for w in rng.dirichlet(np.ones(d), size=10):
+            f = ProductAntinorm.selfdual(w)
+            P = rng.lognormal(0.0, 1.0, size=(200, d))
+            v = f._values(P)
+            size = 1.0 + np.abs(np.log(P)) @ w
+            assert np.all(np.abs(dual_values(f, P) - v) <= 4 * eps * size * v), w
 
 
 def test_discontinuity_demo_values():

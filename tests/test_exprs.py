@@ -177,3 +177,7 @@ def test_axioms_check_deterministic():
 def test_product_selfdual_scale_matches_sqrt_d_for_uniform():
     f = ProductAntinorm.selfdual([0.5, 0.5])
     assert f.scale == pytest.approx(math.sqrt(2.0), abs=1e-14)
+
+
+def test_product_repr_shows_its_scale():
+    assert repr(ProductAntinorm([0.3, 0.7])).endswith("scale=1.4142135623730951)")

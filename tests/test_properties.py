@@ -15,7 +15,7 @@ from antinorms import (
     geometry,
     prune_positive_hull,
 )
-from antinorms.duality import _dual2_batch
+from antinorms.duality import _dual2_batch, dual_values
 
 weights = st.floats(min_value=0.05, max_value=0.95)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -36,6 +36,33 @@ def test_contact_point_of_selfdual_product(w):
     a = contact_point(f)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-9)
     assert f.value(a) == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def products(draw):
+    """ProductAntinorm in d = 2-6 with one weight 0 and a random scale."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    w = draw(st.lists(st.integers(min_value=1, max_value=100), min_size=d - 1, max_size=d - 1))
+    w = np.insert(np.array(w, dtype=float), draw(st.integers(min_value=0, max_value=d - 1)), 0.0)
+    return ProductAntinorm(w / w.sum(), scale=draw(st.floats(min_value=0.1, max_value=10.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=products(), seed=seeds)
+def test_product_closed_form_dual_meets_young_with_equality(f, seed):
+    # f*(p) f(x) <= <p, x>, with equality at x_i = w_i/p_i (weighted AM-GM)
+    u = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    P = rng.lognormal(0.0, 1.0, size=(8, f.dim))
+    X = rng.lognormal(0.0, 1.0, size=(50, f.dim))
+    fstar = dual_values(f, P)
+    assert np.all(fstar[:, None] * f._values(X)[None, :] <= (P @ X.T) * (1.0 + 4.0 * u))
+    w, a = f.weights, f.weights > 0
+    X = w / P
+    pair = np.einsum("ij,ij->i", P, X)
+    # 4 ulps per unit of the exponent sum_i w_i |log(p_i/w_i)| both sides round
+    size = 1.0 + np.abs(np.log(P[:, a] / w[a])) @ w[a]
+    assert np.all(np.abs(fstar * f._values(X) - pair) <= 4.0 * u * size * pair)
 
 
 @st.composite

@@ -145,6 +145,15 @@ def test_identity_dual_pair_sum_min():
     assert rep.max_residual <= 1e-7
 
 
+def test_identity_residual_keeps_its_digits_where_cosh_is_large():
+    # in frame coordinates cosh t cosh t* + sinh t sinh t* - 1 cancels:
+    # it read 1 at theta = +-20 on sqrt2xy (cosh^2 ~ 5.9e16)
+    for mode in ("sector", "literal"):
+        ctx = TrigContext.build(catalog("sqrt2xy"), mode=mode)
+        rep = identity_check(ctx, thetas=[-20.0, -10.0, 10.0, 20.0])
+        assert rep.checked == 4 and rep.max_residual <= 1e-12, mode
+
+
 def test_identity_at_theta_zero_exact():
     rep = identity_check(HYP, thetas=[0.0])
     assert rep.max_residual <= 1e-12
