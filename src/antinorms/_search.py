@@ -6,9 +6,10 @@ package.  Callers:
 * ``bracket_root``: ``exprs._Arc.support`` (tangency p || grad f on a 2-d
   antisphere; the one search behind the 2-d numeric dual
   ``duality._dual2_batch``, the supergradients of 2-d
-  ``exprs.NumericDualAntinorm`` and ``exprs.ConeSplitAntinorm``; skipped at a
-  kink on a table node), ``selfdual.closest_antisphere_point`` (stationary
-  radius, from the radius minima of ``Antinorm.arc``),
+  ``exprs.NumericDualAntinorm`` and of ``exprs.ConeSplitAntinorm`` where
+  its piece has no closed-form dual point; skipped at a kink on a table
+  node), ``selfdual.closest_antisphere_point`` (stationary radius, from the
+  radius minima of ``Antinorm.arc``),
   ``dynamics.lsr_lower_certificate`` (stationary ratio, from the best point
   of ``Antinorm.arc``) and ``trig.TrigContext._literal_positions`` (every
   literal theta of a batch).

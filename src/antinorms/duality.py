@@ -10,8 +10,8 @@ implemented and checked here:
 * ``dual_values``, the one batched entry point for dual values: exact for
   piecewise-linear antinorms of dim <= 4, the closed form an antinorm
   knows (``_dual_values``: weighted AM-GM for products, ``sqrt2xy``,
-  ``circle_arc`` and ``rootsum3`` in the catalog) next, numeric only where
-  neither applies,
+  ``min_eps``, ``circle_arc`` and ``rootsum3`` in the catalog) next,
+  numeric only where neither applies,
 * the Young-type inequality  f*(p) f(x) <= <p, x>  (``young_check``); note
   the product bounds the pairing from *below*, the reverse of the norm
   case, since the dual is an infimum,
@@ -27,7 +27,7 @@ with the dual of its continuous extension.  In d = 2 the minimum is the
 tangency point where p is parallel to a supergradient of f (the equality
 case of the Young-type inequality), found as a root in the table of the
 antisphere that f keeps (``f.arc``, read by ``_dual2_batch``; the search
-the cone split shares).  In
+a cone split's K1 table runs where its piece has no closed form).  In
 d >= 3 the ratio is quasiconvex on the simplex as well, so a converged
 local descent reaches the minimum; Nelder-Mead descents from one shared
 simplex grid run until the two lowest agree within the tolerance
@@ -49,6 +49,7 @@ from .exprs import (
     BuiltinAntinorm,
     NumericDualAntinorm,
     PLAntinorm,
+    _d_min_eps,
     as_point,
     as_pl,
     continuous_extension_eval,
@@ -252,8 +253,8 @@ def dual_numeric(f, p, tol=DEFAULT.dual):
 def dual_values(f, P):
     """Dual values f*(p) at the rows of ``P``: exact (``dual_pl``) for a
     piecewise-linear antinorm of dim <= 4, the closed form ``f._dual_values``
-    where f has one (products, ``sqrt2xy``, ``circle_arc``, ``rootsum3``),
-    numeric estimates (``_numeric_duals``) otherwise."""
+    where f has one (products, ``sqrt2xy``, ``min_eps``, ``circle_arc``,
+    ``rootsum3``), numeric estimates (``_numeric_duals``) otherwise."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     pl = as_pl(f)
     if pl is not None and pl.dim <= 4:
@@ -329,10 +330,11 @@ def double_dual_check(f, samples=40, seed=0):
 # ---------------------------------------------------------------------------
 
 def min_eps_dual_closed(eps, p, q):
-    """Closed-form dual of min{x,y} + eps*sqrt(xy) in the regime q <= eps^2 p / 8."""
+    """Closed-form dual of min{x,y} + eps*sqrt(xy) in the regime q <= eps^2 p / 8
+    (``exprs._d_min_eps``, whose smooth branch holds up to q = eps p/(eps + 2))."""
     if q > eps * eps * p / 8.0 + 1e-15:
         raise ValueError("closed form only valid for q <= eps^2 p / 8")
-    return 2.0 * p * q / (q + math.sqrt(q * q + eps * eps * p * q))
+    return float(_d_min_eps(np.array([[p, q]], dtype=float), {"eps": eps})[0])
 
 
 @dataclass(frozen=True)

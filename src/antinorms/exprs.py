@@ -141,6 +141,11 @@ class Antinorm:
         the package knows none (``duality.dual_values`` then searches)."""
         return None
 
+    def _dual_points(self, P):
+        """The antisphere points attaining f*(p) at the rows of ``P`` (Danskin: a
+        supergradient of f*), or None; a zero coordinate may give a non-finite row."""
+        return None
+
     @functools.cached_property
     def arc(self):
         """The antisphere {f = 1} of a 2-d antinorm as one ``_Arc`` on
@@ -263,6 +268,9 @@ class ProductAntinorm(Antinorm):
         w = self.weights
         return self._geometric_mean(P / np.where(w > 0, w, 1.0)) / self.scale
 
+    def _dual_points(self, P):
+        return self.weights * self._dual_values(P)[:, None] / P
+
     def _grads(self, X):
         pos = (self.weights > 0) & (X > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -353,16 +361,40 @@ def _d_circle_arc(P, params):
     return 2.0 * params["radius"] * P[:, 0] * P[:, 1] / den
 
 
+def _p_circle_arc(P, params):
+    # the attaining point R - R p_i/|p|, as R p_j^2/(|p| (|p| + p_i))
+    n = np.hypot(P[:, 0], P[:, 1])[:, None]
+    return params["radius"] * np.square(P[:, ::-1]) / np.maximum(n * (n + P), 1e-300)
+
+
+def _d_min_eps(P, params):
+    # a = max p_i, b = min p_i: attained at (1, t^2)/(1 + eps t) in (a's, b's) coordinates,
+    # t = eps a/den, while t >= 1 (a eps >= (eps + 2) b), else at the kink (1, 1)/(1 + eps)
+    eps = params["eps"]
+    a, b = P.max(axis=1), P.min(axis=1)
+    den = np.maximum(b + np.sqrt(b * b + eps * eps * a * b), 1e-300)
+    return np.where(a * eps >= (eps + 2.0) * b, 2.0 * a * b / den, (a + b) / (1.0 + eps))
+
+
+def _p_min_eps(P, params):
+    # t = eps a/den = eps f*/(2 b) is >= 1 on the smooth branch, below 1 on the kink's
+    eps = params["eps"]
+    t = np.maximum(eps * _d_min_eps(P, params) / (2.0 * P.min(axis=1)), 1.0)   # NaN at b = 0
+    S = np.stack([np.ones_like(t), t * t], axis=1) / (1.0 + eps * t)[:, None]
+    return np.where((P[:, 0] < P[:, 1])[:, None], S[:, ::-1], S)
+
+
 _CATALOG = {
     # name: (dim or None for any, value fn, grad fn or None, dual fn or None,
-    # default params); sum and min take the exact PL dual, a None dual a search
-    "sum": (None, _v_sum, _g_sum, None, {}),
-    "min": (None, _v_min, _g_min, None, {}),
-    "sqrt2xy": (2, _v_sqrt2xy, _g_sqrt2xy, _v_sqrt2xy, {}),
-    "min_eps": (2, _v_min_eps, _g_min_eps, None, {"eps": 0.5}),
-    "rootsum3": (3, _v_rootsum3, _g_rootsum3, _d_rootsum3, {}),
-    "rootsum3_drop": (3, _v_rootsum3_drop, None, None, {}),
-    "circle_arc": (2, _v_circle_arc, _g_circle_arc, _d_circle_arc,
+    # attaining-point fn or None, default params); sum and min take the exact
+    # PL dual, a None dual a search
+    "sum": (None, _v_sum, _g_sum, None, None, {}),
+    "min": (None, _v_min, _g_min, None, None, {}),
+    "sqrt2xy": (2, _v_sqrt2xy, _g_sqrt2xy, _v_sqrt2xy, _g_sqrt2xy, {}),
+    "min_eps": (2, _v_min_eps, _g_min_eps, _d_min_eps, _p_min_eps, {"eps": 0.5}),
+    "rootsum3": (3, _v_rootsum3, _g_rootsum3, _d_rootsum3, None, {}),
+    "rootsum3_drop": (3, _v_rootsum3_drop, None, None, None, {}),
+    "circle_arc": (2, _v_circle_arc, _g_circle_arc, _d_circle_arc, _p_circle_arc,
                    {"radius": 1.0 + math.sqrt(2.0)}),
 }
 
@@ -378,7 +410,7 @@ class BuiltinAntinorm(Antinorm):
     def __init__(self, name, dim=None, **params):
         if name not in _CATALOG:
             raise KeyError(f"unknown catalog antinorm {name!r}; have {sorted(_CATALOG)}")
-        fixed_dim, vfn, gfn, dfn, defaults = _CATALOG[name]
+        fixed_dim, vfn, gfn, dfn, pfn, defaults = _CATALOG[name]
         if fixed_dim is not None:
             if dim is not None and dim != fixed_dim:
                 raise DimensionMismatchError(f"{name!r} is {fixed_dim}-dimensional")
@@ -390,7 +422,7 @@ class BuiltinAntinorm(Antinorm):
         self.params = {**defaults, **params}
         self._vfn = vfn
         self._gfn = gfn
-        self._dfn = dfn
+        self._dfn, self._pfn = dfn, pfn
 
     def _values(self, X):
         return self._vfn(X, self.params)
@@ -402,6 +434,9 @@ class BuiltinAntinorm(Antinorm):
 
     def _dual_values(self, P):
         return None if self._dfn is None else self._dfn(P, self.params)
+
+    def _dual_points(self, P):
+        return None if self._pfn is None else self._pfn(P, self.params)
 
     def __repr__(self):
         extra = f", {self.params}" if self.params else ""
@@ -625,13 +660,15 @@ class ConeSplitAntinorm(Antinorm):
     restricted dual of ``f1`` on the complementary subcone.
 
     The ray through ``apex`` (a unit vector) splits the orthant into K1 and
-    K2.  On K2 the value is  min over the K1 antisphere of <s, x>, attained
-    where x is parallel to grad f1(s) (clipped to the arc's ends).  The K1
-    arc is one ``_Arc`` of ``grid_n`` points, evenly spaced in the logit of
-    K1 (from the apex ray to +-45, next to the axis); its support query
-    finds the table cell holding that tangency and closes it, so each value
+    K2.  On K2 the value is  min over the K1 antisphere of <s, x>, and the
+    attaining point s is the supergradient (Danskin).  Where f1 has the
+    point attaining its dual in closed form (``_dual_points``), s is that
+    point and the value f1*(x), or, for a point outside K1, the K1 end
+    apex/f1(apex), as <x, s> is unimodal along the arc.  Elsewhere, and where
+    that point is not finite, one ``_Arc`` of ``grid_n`` points evenly spaced
+    in the logit of K1 (apex ray to +-45, next to the axis), built on first
+    use, closes the cell holding the tangency x || grad f1(s), so each value
     is accurate to the smoothness of f1 rather than to the table spacing.
-    The attaining arc point is the supergradient on K2 (Danskin).
     """
 
     def __init__(self, f1, apex, side="upper", grid_n=20000):
@@ -648,15 +685,32 @@ class ConeSplitAntinorm(Antinorm):
         self.side = side
         self.grid_n = int(grid_n)
         self.dim = 2
+
+    @functools.cached_property
+    def _arc(self):
         # x(u) is on the apex ray at u = ln(a0/a1); K1 lies below it when upper
         with np.errstate(divide="ignore"):
-            u_a = float(np.clip(np.log(a[0]) - np.log(a[1]), -_UMAX, _UMAX))
-        lo, hi = (-_UMAX, u_a) if side == "upper" else (u_a, _UMAX)
-        self._arc = _Arc(f1, np.linspace(lo, hi, self.grid_n))
+            u_a = float(np.clip(np.log(self.apex[0]) - np.log(self.apex[1]), -_UMAX, _UMAX))
+        lo, hi = (-_UMAX, u_a) if self.side == "upper" else (u_a, _UMAX)
+        return _Arc(self.f1, np.linspace(lo, hi, self.grid_n))
 
     def _in_k1(self, X):
         cross = self.apex[0] * X[:, 1] - self.apex[1] * X[:, 0]
         return cross >= 0 if self.side == "upper" else cross <= 0
+
+    def _k2(self, X):
+        """Values and attaining K1 antisphere points at the K2 rows X."""
+        with np.errstate(divide="ignore", invalid="ignore"):   # non-finite rows take the table
+            S = self.f1._dual_points(X)
+            if S is None:
+                return self._arc.support(X)
+            clip = ~self._in_k1(S) & np.all(np.isfinite(S), axis=1)
+            S = np.where(clip[:, None], self.apex / self.f1._values(self.apex[None])[0], S)
+            v = np.where(clip, np.einsum("ij,ij->i", S, X), self.f1._dual_values(X))
+        table = ~np.all(np.isfinite(S), axis=1)
+        if np.any(table):
+            v[table], S[table] = self._arc.support(X[table])
+        return v, S
 
     def _values(self, X):
         mask = self._in_k1(X)
@@ -664,7 +718,7 @@ class ConeSplitAntinorm(Antinorm):
         if np.any(mask):
             out[mask] = self.f1._values(X[mask])
         if np.any(~mask):
-            out[~mask] = self._arc.support(X[~mask])[0]
+            out[~mask] = self._k2(X[~mask])[0]
         return out
 
     def _grads(self, X):
@@ -676,7 +730,7 @@ class ConeSplitAntinorm(Antinorm):
         if np.any(mask):
             v[mask], G[mask] = self.f1._values_grads(X[mask])
         if np.any(~mask):
-            v[~mask], G[~mask] = self._arc.support(X[~mask])
+            v[~mask], G[~mask] = self._k2(X[~mask])
         return v, G
 
     def __repr__(self):

@@ -267,9 +267,10 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True):
     Preconditions: |apex| = 1, f1(apex) = 1 and f1(x) <= <apex, x> on K1,
     i.e. the antisphere of f1 stays behind the line orthogonal to the apex
     ray, checked as <apex, s> >= 1 - 1e-9 at the points s of the K1 table
-    (``ConeSplitAntinorm._arc``) that the glued antinorm builds anyway.  The
-    restricted dual f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is realized by
-    support-function minimization over that table.  The glued function is
+    (``ConeSplitAntinorm._arc``).  The restricted dual
+    f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is f1's closed-form dual point
+    clipped at the apex where f1 has one, and support-function minimization
+    over that table only where it has none.  The glued function is
     self-dual; with ``verify`` it is checked by ``is_selfdual`` (tol 1e-6,
     160 points).
     """
@@ -298,13 +299,15 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True):
 def _pl_boundary_candidates(pl):
     """Closest-point candidates on the antisphere of a 2-d PL antinorm: the
     vertices of ``pl.body`` as they are, then each chord's point nearest the
-    origin, p + t (q - p), t in [0, 1], with ``p @ d``'s dot (``matmul``).
-    A closing ray's nearest point is the vertex it starts from."""
+    origin, p + t (q - p), where 1e-9 < t < 1 - 1e-9 (dots by ``matmul``):
+    nearer an end the vertex is as near to rounding, not a point an ulp off
+    it.  A closing ray's nearest point is the vertex it starts from."""
     V = pl.body.vertices()
     p, d = V[:-1], V[1:] - V[:-1]
     denom = np.matmul(d[:, None], d[:, :, None])[:, 0, 0]
     t = -np.matmul(p[:, None], d[:, :, None])[:, 0, 0] / np.where(denom == 0, 1.0, denom)
-    return np.vstack([V, p + np.clip(t, 0.0, 1.0)[:, None] * d])
+    inside = (t > 1e-9) & (t < 1.0 - 1e-9)
+    return np.vstack([V, p[inside] + t[inside, None] * d[inside]])
 
 
 def closest_antisphere_point(f):
@@ -400,8 +403,8 @@ def is_selfdual(f, tol=1e-7, n_grid=1000):
     """Decide f* = f by comparing dual and primal values on a probe grid.
 
     The dual values come from ``dual_values``: exact for piecewise-linear
-    antinorms, closed form for products, ``sqrt2xy``, ``circle_arc`` and
-    ``rootsum3``, numeric otherwise.  Returns ``(verdict, max deviation)``.
+    antinorms, closed form for products, ``sqrt2xy``, ``min_eps``,
+    ``circle_arc`` and ``rootsum3``, numeric otherwise.  Returns ``(verdict, max deviation)``.
     """
     X = _probe_grid(f.dim, n_grid)
     dev = float(np.max(np.abs(dual_values(f, X) - f._values(X))))

@@ -514,12 +514,14 @@ def test_builtin_min_has_one_pl_form_for_trig(files, monkeypatch):
 
 
 def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
-    # dual, selfdual-check and trig read at most one _Arc of their input: on
-    # min_eps, which has no closed-form dual, the dual's support queries, the
-    # contact search and the self-duality probe all query the table the
-    # antinorm keeps; a self-dual product takes its closed-form dual, so
-    # only trig's quadrature builds its table
-    from antinorms import ProductAntinorm
+    # dual, selfdual-check and trig read at most one _Arc, of their input: on
+    # a cone split, which has no closed-form dual, the dual's support
+    # queries, the contact search and the self-duality probe all query the
+    # table the antinorm keeps, and its piece circle_arc answers K2 in
+    # closed form, so the K1 table is never built; a self-dual product and
+    # min_eps take their closed-form duals, so only trig's quadrature builds
+    # their table
+    from antinorms import ConeSplitAntinorm, ProductAntinorm
     from antinorms.exprs import _Arc
 
     tmp, write = files
@@ -527,9 +529,12 @@ def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
     init = _Arc.__init__
     monkeypatch.setattr(_Arc, "__init__",
                         lambda self, f, u: built.append(type(f).__name__) or init(self, f, u))
+    split = ConeSplitAntinorm(catalog("circle_arc"), np.array([1.0, 1.0]) / math.sqrt(2.0),
+                              grid_n=4096)
     # (input, tables built per command, exit codes: min_eps is not self-dual)
     for f, expect, codes in ((ProductAntinorm.selfdual([0.3, 0.7]), [0, 0, 1], [0, 0, 0]),
-                             (catalog("min_eps"), [1, 1, 1], [0, 1, 0])):
+                             (catalog("min_eps"), [0, 0, 1], [0, 1, 0]),
+                             (split, [1, 1, 1], [0, 0, 0])):
         inp = write("f.json", expr_to_dict(f))
         counts, exits = [], []
         for argv in (["dual", "--input", inp, "--output", str(tmp / "dual.json")],
@@ -537,6 +542,7 @@ def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
                      ["trig", "--antinorm", inp, "--theta-range", "-1:1:5",
                       "--output", str(tmp / "trig.csv")]):
             exits.append(main([*argv, "--quiet"]))
-            counts.append(built.count(type(f).__name__))
+            counts.append(len(built))
+            assert built == [type(f).__name__] * len(built), (f, argv[0])
             built.clear()
         assert (counts, exits) == (expect, codes), f

@@ -219,9 +219,11 @@ _CLOSED_FORMS = [ProductAntinorm([0.3, 0.7], scale=1.7), ProductAntinorm.selfdua
                  ProductAntinorm([0.2, 0.0, 0.8]), ProductAntinorm.selfdual([0.2, 0.3, 0.5]),
                  catalog("sqrt2xy"), catalog("circle_arc", radius=1.5),
                  catalog("circle_arc", radius=2.5), catalog("circle_arc", radius=4.0),
-                 catalog("rootsum3")]
+                 catalog("rootsum3"), catalog("min_eps", eps=0.2), catalog("min_eps", eps=0.5),
+                 catalog("min_eps", eps=1.0)]
 _CLOSED_IDS = ["product2", "selfdual2", "product3_w0", "selfdual3", "sqrt2xy",
-               "circle1.5", "circle2.5", "circle4", "rootsum3"]
+               "circle1.5", "circle2.5", "circle4", "rootsum3", "min_eps0.2", "min_eps0.5",
+               "min_eps1"]
 
 
 @pytest.mark.parametrize("f", _CLOSED_FORMS, ids=_CLOSED_IDS)
@@ -252,6 +254,47 @@ def test_closed_form_dual_is_0_at_a_zero_coordinate(f):
         warnings.simplefilter("error")
         vals = dual_values(f, P)
     assert np.all(vals[~free] == 0.0) and np.all(vals[free] > 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5, 1.0])
+def test_min_eps_dual_matches_the_numeric_search_on_both_branches(eps):
+    # a/b from 1 (the kink branch) to 1e6 (the smooth one), and where they
+    # meet, 1 + 2/eps; both orientations, at lognormal scales
+    rng = np.random.default_rng(21)
+    ratio = np.r_[1.0, 1.0 + 2.0 / eps, np.exp(rng.uniform(0.0, math.log(1e6), 300))]
+    b = rng.lognormal(0.0, 1.0, len(ratio))
+    P = np.stack([ratio * b, b], axis=1)
+    P = np.vstack([P, P[:, ::-1]])
+    smooth = np.tile(ratio >= 1.0 + 2.0 / eps, 2)
+    assert 50 <= smooth.sum() <= len(P) - 50
+    f = catalog("min_eps", eps=eps)
+    closed = dual_values(f, P)
+    assert np.max(np.abs(closed / duality._numeric_duals(f, P, 1e-10) - 1.0)) <= 1e-13
+    assert np.array_equal(closed[~smooth], P[~smooth].sum(axis=1) / (1.0 + eps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dual_values(f, [[0.0, 0.0], [3.0, 0.0], [0.0, 0.5]]).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("f1", [catalog("sqrt2xy"), catalog("circle_arc", radius=2.0),
+                                ProductAntinorm.selfdual([0.3, 0.7]),
+                                ProductAntinorm([0.6, 0.4]), catalog("min_eps")],
+                         ids=["sqrt2xy", "circle_arc", "selfdual", "product", "min_eps"])
+def test_closed_form_duals_and_cone_splits_run_no_tangency_search(f1, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("bracket_root called where a closed form is known")
+
+    monkeypatch.setattr(exprs, "bracket_root", search)
+    P = np.random.default_rng(6).lognormal(0.0, 1.0, size=(60, 2))
+    for eps in (0.2, 0.5, 1.0):
+        dual_values(catalog("min_eps", eps=eps), P)
+    for apex in ([math.sqrt(0.5), math.sqrt(0.5)], [0.6, 0.8]):
+        for side in ("upper", "lower"):
+            f = ConeSplitAntinorm(f1, apex, side=side, grid_n=4096)
+            X = P[~f._in_k1(P)]
+            v, G = f._values_grads(X)
+            assert len(X) and np.all(np.isfinite(v)) and np.all(np.isfinite(G))
+            assert "_arc" not in vars(f)   # nor is the K1 table built
 
 
 def test_closed_form_dual_of_a_selfdual_product_is_itself():
@@ -337,7 +380,7 @@ def test_min_eps_kink_on_the_table_grid_closes_without_a_search():
     calls = []
     grads = f._grads
     f._grads = lambda X: calls.append(len(X)) or grads(X)
-    vals = dual_values(f, P)
+    vals = _dual2_batch(f, P)
     assert calls[0] == len(exprs._DUAL_U) and len(calls) - 1 <= 2   # the table, then no search
     expect = P.sum(axis=1) / (1.0 + eps)
     assert np.all(np.abs(vals - expect) <= 4 * np.spacing(expect))
@@ -346,13 +389,18 @@ def test_min_eps_kink_on_the_table_grid_closes_without_a_search():
     Q = np.stack([np.ones_like(q), q], axis=1)
     Q = np.concatenate([Q, Q[:, ::-1]])
     closed = np.array([min_eps_dual_closed(eps, *sorted(p, reverse=True)) for p in Q])
-    assert np.max(np.abs(dual_values(f, Q) / closed - 1.0)) <= 1e-13
+    assert np.max(np.abs(_dual2_batch(f, Q) / closed - 1.0)) <= 1e-13
 
 
 def test_arc_of_a_cone_split_queries_its_k1_arc_once():
-    # the table's values and normals on K2 come from one support query
+    # the table's values and normals on K2 come from one support query of
+    # the K1 table where the piece has no closed-form dual, and from none
+    # where it has one
     apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    f = ConeSplitAntinorm(catalog("circle_arc"), apex, side="upper", grid_n=4096)
+    g = ConeSplitAntinorm(catalog("circle_arc"), apex, side="upper", grid_n=4096)
+    _Arc(g, exprs._DUAL_U)
+    assert "_arc" not in vars(g)   # the K1 table was never built
+    f = ConeSplitAntinorm(symmetrize(catalog("min_eps"), 0.5), apex, side="upper", grid_n=4096)
     calls = []
     support = f._arc.support
     f._arc.support = lambda P: calls.append(len(P)) or support(P)

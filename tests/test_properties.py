@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from antinorms import (
+    ConeSplitAntinorm,
     PLAntinorm,
     ProductAntinorm,
     canonicalize_pl,
+    catalog,
     contact_point,
     dual_pl,
     exprs,
@@ -63,6 +66,66 @@ def test_product_closed_form_dual_meets_young_with_equality(f, seed):
     # 4 ulps per unit of the exponent sum_i w_i |log(p_i/w_i)| both sides round
     size = 1.0 + np.abs(np.log(P[:, a] / w[a])) @ w[a]
     assert np.all(np.abs(fstar * f._values(X) - pair) <= 4.0 * u * size * pair)
+
+
+@st.composite
+def closed_form_2d(draw):
+    """A 2-D antinorm whose dual and the point attaining it have closed forms."""
+    kind = draw(st.sampled_from(["sqrt2xy", "circle_arc", "min_eps", "product", "selfdual"]))
+    if kind == "sqrt2xy":
+        return catalog("sqrt2xy")
+    if kind == "circle_arc":
+        return catalog("circle_arc", radius=draw(st.floats(min_value=1.5, max_value=4.0)))
+    if kind == "min_eps":
+        return catalog("min_eps", eps=draw(st.floats(min_value=0.05, max_value=1.0)))
+    w = draw(weights)
+    if kind == "product":
+        return ProductAntinorm([w, 1.0 - w], scale=draw(st.floats(min_value=0.1, max_value=10.0)))
+    return ProductAntinorm.selfdual([w, 1.0 - w])
+
+
+def _rounding_size(f, P):
+    """1, or for a product, which rounds an exp of a sum of logs, 1 plus
+    the exponent's size sum_i w_i |log(p_i/w_i)| (PR 24's tolerance note)."""
+    w = getattr(f, "weights", None)
+    return np.ones(len(P)) if w is None else 1.0 + np.abs(np.log(P / w)) @ w
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=closed_form_2d(), seed=seeds)
+def test_closed_form_dual_point_is_on_the_antisphere_and_attains_the_dual(f, seed):
+    u = np.finfo(float).eps
+    P = np.random.default_rng(seed).lognormal(0.0, 2.0, size=(64, 2))
+    S, fstar = f._dual_points(P), f._dual_values(P)
+    size = _rounding_size(f, P)
+    assert np.all(np.abs(f._values(S) - 1.0) <= 4.0 * u * size)
+    assert np.all(np.abs(np.einsum("ij,ij->i", P, S) - fstar) <= 4.0 * u * size * fstar)
+
+
+_APEXES = [(math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8), (0.9, math.sqrt(1.0 - 0.81))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(f1=closed_form_2d(), apex=st.sampled_from(_APEXES),
+       side=st.sampled_from(["upper", "lower"]), seed=seeds)
+def test_cone_split_k2_closed_form_matches_its_k1_table(f1, apex, side, seed):
+    # the closed form against the K1 table's support query it replaces.
+    # The table's point ties to a cell end whenever the two values agree to
+    # rounding, where <x, s> is flat along the arc, so it pins the point
+    # only to about sqrt(eps) relative; the values agree to rounding
+    f = ConeSplitAntinorm(f1, apex, side=side, grid_n=4096)
+    X = np.random.default_rng(seed).lognormal(0.0, 1.0, size=(64, 2))
+    X = X[~f._in_k1(X)]
+    v, S = f._values_grads(X)
+    table_v, table_S = f._arc.support(X)
+    assert np.all(np.abs(v - table_v) <= 1e-14 * table_v)
+    assert np.all(np.linalg.norm(S - table_S, axis=1) <= 1e-6 * np.linalg.norm(table_S, axis=1))
+    # a point whose unrestricted minimizer leaves K1 takes the apex end
+    clipped = ~f._in_k1(f1._dual_points(X))
+    assert np.all(f._in_k1(S[~clipped]))
+    end = np.asarray(apex) / f1.value(apex)
+    assert np.all(S[clipped] == end)
+    assert np.all(np.abs(v[clipped] - X[clipped] @ end) <= 1e-15 * v[clipped])
 
 
 @st.composite

@@ -297,11 +297,24 @@ def test_contact_candidates_are_the_vertices_then_the_chord_points_bit_for_bit()
         f = construct2(random_autopolar_seed(k, rng)).antinorm()
         V = f.body.vertices()
         C = _pl_boundary_candidates(f)
-        assert C.shape == (2 * len(V) - 1, 2)
         assert C[:len(V)].tobytes() == V.tobytes()   # not a + t (b - a) at t = 0 or 1
-        for c, p, q in zip(C[len(V):], V[:-1], V[1:]):
+        chords = []
+        for p, q in zip(V[:-1], V[1:]):   # a chord's point only strictly inside it
             d = q - p
-            assert c.tobytes() == (p + float(np.clip(-(p @ d) / (d @ d), 0.0, 1.0)) * d).tobytes()
+            t = -(p @ d) / (d @ d)
+            if 1e-9 < t < 1.0 - 1e-9:
+                chords.append(p + t * d)
+        assert C[len(V):].tobytes() == np.reshape(chords, (-1, 2)).tobytes()
+
+
+def test_contact_point_of_an_autopolar_polygon_is_its_vertex_bit_for_bit():
+    # a chord's nearest point at its end once came out an ulp off the vertex
+    # and an ulp nearer, 8 times in this sample
+    for k in range(1, 17):
+        for s in range(12):
+            f = construct2(random_autopolar_seed(k, np.random.default_rng(1000 * k + s))).antinorm()
+            a = contact_point(f)
+            assert np.any(np.all(f.body.vertices() == a, axis=1)), (k, s)
 
 
 def test_sampled_seed_keeps_its_verified_polygon():
