@@ -16,7 +16,8 @@ package.  Callers:
 * ``logit_points``: ``exprs._Arc`` (the only table of a 2-d antisphere),
   the roots of ``selfdual.closest_antisphere_point`` and
   ``dynamics.lsr_lower_certificate``, ``trig._SmoothBoundary`` (its
-  quadrature nodes on the cells of ``Antinorm.arc`` and its roots),
+  quadrature nodes on the cells of ``Antinorm.arc`` and its roots; never on
+  a 2-d product, ``trig._ProductBoundary``),
   ``selfdual._probe_grid``, ``dynamics.transpose_extremal_check`` and CLI
   ``dual``.
 * ``simplex_grid``, always in d >= 3, built once per (d, n) and shared
@@ -32,7 +33,8 @@ package.  Callers:
   ``geometry._lp_redundant`` (``prune_positive_hull``), each only for the
   rows no certificate decides, and ``geometry.positive_hull_value``;
   ``minimize``: ``duality._dual_nd``; ``brentq``:
-  ``trig._SmoothBoundary.point_at`` (on a cell polynomial).
+  ``trig._SmoothBoundary.point_at`` (on a cell polynomial; not on a 2-d
+  product or ``sqrt2xy``).
 
 These three are the package's only import of scipy, made on the first call:
 ``scipy.optimize`` takes about 0.6 s to import, longer than most CLI

@@ -18,8 +18,10 @@ conventions are implemented:
   linked pointwise by  theta_literal = xi * eta - theta_sector  in frame
   coordinates.
 
-Each boundary (a polyline for PL antinorms, otherwise a quadrature on the
-cells of the antinorm's one antisphere table ``f.arc``) works on batches:
+There are three boundaries: a polyline for PL antinorms, closed forms for
+the products c x_1^{w_1} x_2^{w_2} (``ProductAntinorm`` in d = 2 with both
+weights positive, and ``sqrt2xy``), and otherwise a quadrature on the cells
+of the antinorm's one antisphere table ``f.arc``.  Each works on batches:
 ``locate`` maps points to sector positions (NaN where a point has none) and
 ``point_at`` in-range positions to points.  Theta becomes a position by a
 shift in sector mode and by one ``bracket_root`` over all rows in literal
@@ -44,7 +46,7 @@ from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from ._search import bracket_root, brentq, logit_points
 from .errors import DimensionMismatchError, ThetaRangeError
-from .exprs import as_pl, as_point
+from .exprs import _UMAX, BuiltinAntinorm, ProductAntinorm, as_pl, as_point
 from .selfdual import closest_antisphere_point
 
 __all__ = [
@@ -120,6 +122,12 @@ class _PolylineBoundary:
         return self._a[j] + np.clip(t, 0.0, self._end[j])[:, None] * self._d[j]
 
 
+def _log_slopes(P):
+    """tau = log(x_2/x_1) of each row of P; NaN outside the open orthant."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((P[:, 0] > 0) & (P[:, 1] > 0), np.log(P[:, 1] / P[:, 0]), np.nan)
+
+
 class _SmoothBoundary:
     """Antisphere of a smooth antinorm with interpolated sector areas, on the
     cells of ``f.arc``.
@@ -161,10 +169,7 @@ class _SmoothBoundary:
     def _cells(self, P):
         """Cell and tau (clipped to the table) of each row's direction; tau
         is NaN outside the open orthant."""
-        inside = (P[:, 0] > 0) & (P[:, 1] > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(inside, np.clip(np.log(P[:, 1] / P[:, 0]), self.taus[0], self.taus[-1]),
-                           np.nan)
+        tau = np.clip(_log_slopes(P), self.taus[0], self.taus[-1])
         return np.clip(np.searchsorted(self.taus, tau) - 1, 0, len(self.taus) - 2), tau
 
     def corners(self):
@@ -192,6 +197,56 @@ class _SmoothBoundary:
         return X / self.f._values(X)[:, None]
 
 
+def _product_form(f):
+    """(c, w_1, w_2) when f is c x_1^{w_1} x_2^{w_2} with w_1, w_2 > 0, else None."""
+    if isinstance(f, ProductAntinorm) and f.dim == 2 and np.all(f.weights > 0):
+        return (f.scale, *f.weights)
+    if isinstance(f, BuiltinAntinorm) and f.name == "sqrt2xy":
+        return (math.sqrt(2.0), 0.5, 0.5)
+    return None
+
+
+class _ProductBoundary:
+    """Antisphere of f = c x_1^{w_1} x_2^{w_2}, w_1, w_2 > 0, in closed form.
+
+    At tau = log(x_2/x_1) the point is (e^{-w_2 tau}, e^{w_1 tau})/c and the
+    sector position grows at the rate e^{a tau}/c^2, a = w_1 - w_2.  From
+    the contact tau_0 = log(w_2/w_1)/2, the point nearest the origin, the
+    position is k expm1(a (tau - tau_0))/a with k = e^{a tau_0}/c^2
+    (k (tau - tau_0) when a = 0), inverted by ``log1p``.  tau spans the
+    table's +-``_UMAX`` like the quadrature's cells, so the range is theirs.
+    """
+
+    def __init__(self, c, w1, w2):
+        self.c, self.exps, self.a = c, np.array([-w2, w1]), w1 - w2
+        self.tau0 = 0.5 * math.log(w2 / w1)
+        self.k = math.exp(self.a * self.tau0) / (c * c)
+        self.contact = self._points(self.tau0)
+
+    def _points(self, tau):
+        return np.exp(np.multiply.outer(tau, self.exps)) / self.c
+
+    def _pos(self, tau):
+        d = tau - self.tau0
+        return self.k * (np.expm1(self.a * d) / self.a if self.a else d)
+
+    def corners(self):
+        return np.empty((0, 2))
+
+    def locate(self, P):
+        return self._pos(_log_slopes(P))
+
+    def range(self):
+        return tuple(float(q) for q in self._pos(np.array([-_UMAX, _UMAX])))
+
+    def point_at(self, q):
+        """The point at each in-range position; a far end where the area
+        converges can round to the limit, which is the table's end."""
+        with np.errstate(divide="ignore"):
+            d = np.log1p(np.maximum(self.a * q / self.k, -1.0)) / self.a if self.a else q / self.k
+        return self._points(np.clip(self.tau0 + d, -_UMAX, _UMAX))
+
+
 # ---------------------------------------------------------------------------
 # context
 # ---------------------------------------------------------------------------
@@ -213,10 +268,16 @@ class TrigContext:
             raise DimensionMismatchError("concave trigonometry is 2-dimensional")
         if mode not in ("sector", "literal"):
             raise ValueError("mode must be 'sector' or 'literal'")
-        pl = as_pl(f)
-        contact = as_point(closest_antisphere_point(f if pl is None else pl)[0], 2)
+        form = _product_form(f)
+        if form is not None:
+            boundary = _ProductBoundary(*form)
+            contact = boundary.contact
+        else:
+            pl = as_pl(f)
+            contact = as_point(closest_antisphere_point(f if pl is None else pl)[0], 2)
+            boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f, contact)
         ctx = cls(f, contact, math.atan2(contact[1], contact[0]), mode)
-        ctx._boundary = _PolylineBoundary(pl) if pl is not None else _SmoothBoundary(f, contact)
+        ctx._boundary = boundary
         ctx._origin_pos = float(ctx._boundary.locate(contact[None])[0])
         if math.isnan(ctx._origin_pos):
             raise ThetaRangeError("the contact point direction leaves the open orthant")

@@ -518,9 +518,10 @@ def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
     # a cone split, which has no closed-form dual, the dual's support
     # queries, the contact search and the self-duality probe all query the
     # table the antinorm keeps, and its piece circle_arc answers K2 in
-    # closed form, so the K1 table is never built; a self-dual product and
-    # min_eps take their closed-form duals, so only trig's quadrature builds
-    # their table
+    # closed form, so the K1 table is never built; a self-dual product,
+    # min_eps and circle_arc take their closed-form duals and the product its
+    # closed-form trig boundary, so only trig's quadrature builds a table, of
+    # min_eps and of circle_arc
     from antinorms import ConeSplitAntinorm, ProductAntinorm
     from antinorms.exprs import _Arc
 
@@ -531,9 +532,11 @@ def test_one_antisphere_table_per_smooth_input(files, monkeypatch):
                         lambda self, f, u: built.append(type(f).__name__) or init(self, f, u))
     split = ConeSplitAntinorm(catalog("circle_arc"), np.array([1.0, 1.0]) / math.sqrt(2.0),
                               grid_n=4096)
-    # (input, tables built per command, exit codes: min_eps is not self-dual)
-    for f, expect, codes in ((ProductAntinorm.selfdual([0.3, 0.7]), [0, 0, 1], [0, 0, 0]),
+    # (input, tables built per command, exit codes: min_eps and circle_arc
+    # are not self-dual)
+    for f, expect, codes in ((ProductAntinorm.selfdual([0.3, 0.7]), [0, 0, 0], [0, 0, 0]),
                              (catalog("min_eps"), [0, 0, 1], [0, 1, 0]),
+                             (catalog("circle_arc"), [0, 0, 1], [0, 1, 0]),
                              (split, [1, 1, 1], [0, 0, 0])):
         inp = write("f.json", expr_to_dict(f))
         counts, exits = [], []

@@ -128,11 +128,12 @@ def test_duality_minimize_is_the_descent_and_reports_nfev(monkeypatch):
 
 def test_trig_brentq_is_the_boundary_root(monkeypatch, tmp_path):
     inp = tmp_path / "h.json"
-    inp.write_text(json.dumps(expr_to_dict(catalog("sqrt2xy"))))
+    # circle_arc has no closed-form boundary, so trig takes the quadrature
+    inp.write_text(json.dumps(expr_to_dict(catalog("circle_arc"))))
 
     def run(name):
         out = tmp_path / name
-        assert main(["trig", "--antinorm", str(inp), "--theta-range", "-2:2:9",
+        assert main(["trig", "--antinorm", str(inp), "--theta-range", "-1:1:9",
                      "--output", str(out), "--quiet"]) == 0
         return out.read_text()
 

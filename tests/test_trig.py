@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from antinorms import (
+    Antinorm,
     AutopolarSeed,
     ConeSplitAntinorm,
     PLAntinorm,
@@ -18,8 +19,12 @@ from antinorms import (
     identity_check,
     random_autopolar_seed,
     theta_of_point,
+    trig,
 )
 from antinorms._search import logit_points
+from antinorms.exprs import _Arc
+from antinorms.selfdual import closest_antisphere_point
+from antinorms.trig import _SmoothBoundary
 
 HYP = TrigContext.build(catalog("sqrt2xy"))
 K1 = construct2(AutopolarSeed(1, math.atan2(0.8, 0.6)))
@@ -178,13 +183,27 @@ def test_theta_of_point_module_function():
     assert theta_of_point(HYP, HYP.contact) == pytest.approx(0.0, abs=1e-12)
 
 
+class _Opaque(Antinorm):
+    """Forwards to ``inner``, where trig finds no closed form: a product
+    behind it takes the quadrature and its root search."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+
+    def _values(self, X):
+        return self.inner._values(X)
+
+    def _grads(self, X):
+        return self.inner._grads(X)
+
+
 def _inversion_contexts():
     apex = np.array([1.0, 1.0]) / math.sqrt(2.0)
     split = [ConeSplitAntinorm(catalog("circle_arc"), apex, side=side, grid_n=4096)
              for side in ("lower", "upper")]
     # sqrt2xy's integrand is the constant 1/2, so its cell interpolant is exact
-    return [(TrigContext.build(catalog("sqrt2xy")), True),
-            (TrigContext.build(ProductAntinorm.selfdual([0.3, 0.7])), False),
+    return [(TrigContext.build(_Opaque(catalog("sqrt2xy"))), True),
+            (TrigContext.build(_Opaque(ProductAntinorm.selfdual([0.3, 0.7]))), False),
             (TrigContext.build(split[0]), False),
             (TrigContext.build(split[1]), False)]
 
@@ -223,8 +242,70 @@ def test_product_theta_matches_the_closed_form(w):
     assert np.all(np.abs(theta - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
 
 
+# the closed-form boundary: self-dual products c x^w y^(1-w) and sqrt2xy
+_CLOSED = pytest.mark.parametrize("w", [0.3, 0.45, 0.5, 0.7, None],
+                                  ids=["0.3", "0.45", "0.5", "0.7", "sqrt2xy"])
+
+
+def _closed_form(w):
+    return catalog("sqrt2xy") if w is None else ProductAntinorm.selfdual([w, 1.0 - w])
+
+
+@_CLOSED
+def test_closed_form_boundary_matches_the_quadrature(w):
+    f = _closed_form(w)
+    ctx = TrigContext.build(f)
+    contact = closest_antisphere_point(f)[0]
+    assert np.max(np.abs(ctx.contact - contact)) <= 1e-15
+    quad = _SmoothBoundary(f, contact)
+    o = quad.locate(contact[None])[0]
+    assert np.allclose(ctx._boundary.range(), np.array(quad.range()) - o, rtol=1e-13, atol=0)
+    lo, hi = ctx._boundary.range()
+    # not the ends: where the area converges, their ulps move the point by ~1e-12
+    q = np.linspace(max(lo, -20.0), min(hi, 20.0), 101)[1:-1]
+    P, Q = ctx._boundary.point_at(q), quad.point_at(q + o)
+    assert np.all(np.abs(P - Q) <= 1e-13 * np.maximum(1.0, np.abs(Q)))
+
+
+@pytest.mark.parametrize("mode", ["sector", "literal"])
+@_CLOSED
+def test_closed_form_round_trips_theta_to_the_range_ends(w, mode):
+    ctx = TrigContext.build(_closed_form(w), mode=mode)
+    lo, hi = ctx.theta_range()
+    theta = np.r_[lo, -np.geomspace(-lo, 1e-3, 40), 0.0, np.geomspace(1e-3, hi, 40), hi]
+    if mode == "literal" and w not in (0.5, None):
+        # toward the axis where the sector area converges (theta > 0 when
+        # w < 1/2) the sector position no longer resolves the point beyond
+        # literal theta ~ 1e4, on the quadrature as on the closed form
+        theta = theta[np.sign(0.5 - w) * theta <= 1e4]
+    P = ctx.point_at(theta)
+    assert not np.isnan(P).any()
+    assert np.all(np.abs(ctx._theta(P) - theta) <= 1e-12 * np.maximum(1.0, np.abs(theta)))
+
+
+def test_closed_form_hyperbola_is_cosh_sinh():
+    theta = np.linspace(-20.0, 20.0, 81)
+    CS = HYP.frame_coords(HYP.point_at(theta))
+    assert np.all(np.abs(CS - np.stack([np.cosh(theta), np.sinh(theta)], axis=1))
+                  <= 1e-13 * np.cosh(theta)[:, None])
+
+
+@pytest.mark.parametrize("mode", ["sector", "literal"])
+@_CLOSED
+def test_closed_form_builds_no_table_and_runs_no_root_search(w, mode, monkeypatch):
+    calls = []
+    monkeypatch.setattr(_Arc, "__init__", lambda *args: calls.append("_Arc"))
+    monkeypatch.setattr(trig, "brentq", lambda *args, **kw: calls.append("brentq"))
+    monkeypatch.setattr(trig, "closest_antisphere_point", lambda f: calls.append("contact"))
+    f = _closed_form(w)
+    ctx = TrigContext.build(f, mode=mode)
+    assert not np.isnan(ctx.point_at(np.linspace(-1.0, 1.0, 9))).any()
+    assert identity_check(ctx).max_residual <= 1e-12
+    assert calls == [] and "arc" not in f.__dict__
+
+
 def test_smooth_boundary_integrates_on_the_arc_cells():
-    f = ProductAntinorm.selfdual([0.3, 0.7])
+    f = catalog("circle_arc")
     quad = 16 * (len(f.arc.u) - 1)   # builds f.arc before the count
     calls = []
     values = f._values
