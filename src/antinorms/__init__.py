@@ -45,7 +45,6 @@ from .duality import (
     dual_pl,
     dual_values,
     duality_discontinuity_demo,
-    min_eps_dual_closed,
     young_check,
 )
 from .selfdual import (

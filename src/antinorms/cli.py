@@ -186,10 +186,9 @@ def cmd_dual(run):
     args = run.args
     f = run.read(args.input, "expr", expr_from_dict)
     pl = as_pl(f)
-    g = dual_pl(pl) if pl is not None and pl.dim <= 4 else None
-    report = young_check(f, samples=2000, seed=args.seed, dual=g)
-    if g is not None:
-        payload = expr_to_dict(g)
+    report = young_check(f, samples=2000, seed=args.seed)
+    if pl is not None and pl.dim <= 4:
+        payload = expr_to_dict(dual_pl(pl))
     else:
         if f.dim == 2:
             pts = logit_points(np.linspace(-10, 10, args.samples))

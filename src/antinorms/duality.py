@@ -7,11 +7,11 @@ implemented and checked here:
 * exact piecewise-linear duality: the functionals of f* are the vertices
   of the antiball of f (``dual_pl``),
 * a numeric dual estimate for black-box antinorms (``dual_numeric``),
-* ``dual_values``, the one batched entry point for dual values: exact for
-  piecewise-linear antinorms of dim <= 4, the closed form an antinorm
-  knows (``_dual_values``: weighted AM-GM for products, ``sqrt2xy``,
-  ``min_eps``, ``circle_arc`` and ``rootsum3`` in the catalog) next,
-  numeric only where neither applies,
+* ``dual_values``, the one batched entry point for dual values, in two
+  tiers: the closed form an antinorm knows (``_dual_support``: the body's
+  vertices for piecewise-linear antinorms of dim <= 4, weighted AM-GM for
+  products, ``sqrt2xy``, ``min_eps``, ``circle_arc`` and ``rootsum3`` in
+  the catalog), numeric only where it knows none,
 * the Young-type inequality  f*(p) f(x) <= <p, x>  (``young_check``); note
   the product bounds the pairing from *below*, the reverse of the norm
   case, since the dual is an infimum,
@@ -49,7 +49,6 @@ from .exprs import (
     BuiltinAntinorm,
     NumericDualAntinorm,
     PLAntinorm,
-    _d_min_eps,
     as_point,
     as_pl,
     continuous_extension_eval,
@@ -64,7 +63,6 @@ __all__ = [
     "double_dual_check",
     "duality_discontinuity_demo",
     "DiscontinuityTable",
-    "min_eps_dual_closed",
 ]
 
 
@@ -242,7 +240,7 @@ def dual_numeric(f, p, tol=DEFAULT.dual):
     choice, a smaller one when f is itself a numeric dual
     (``_numeric_duals``).  The result is an estimate, not a certified
     bound, and stays numeric for every input, also where ``dual_values``
-    takes the exact PL path or a closed form.  ``tol`` must be positive.
+    takes a closed form.  ``tol`` must be positive.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -251,30 +249,26 @@ def dual_numeric(f, p, tol=DEFAULT.dual):
 
 
 def dual_values(f, P):
-    """Dual values f*(p) at the rows of ``P``: exact (``dual_pl``) for a
-    piecewise-linear antinorm of dim <= 4, the closed form ``f._dual_values``
-    where f has one (products, ``sqrt2xy``, ``min_eps``, ``circle_arc``,
-    ``rootsum3``), numeric estimates (``_numeric_duals``) otherwise."""
+    """Dual values f*(p) at the rows of ``P``: the closed form
+    ``f._dual_support`` where f has one (exact, ``dual_pl``'s functionals,
+    for a piecewise-linear antinorm of dim <= 4), numeric estimates
+    (``_numeric_duals``) otherwise."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    pl = as_pl(f)
-    if pl is not None and pl.dim <= 4:
-        return dual_pl(pl)._values(P)
-    closed = f._dual_values(P)
-    return _numeric_duals(f, P, DEFAULT.dual) if closed is None else closed
+    closed = f._dual_support(P)
+    return _numeric_duals(f, P, DEFAULT.dual) if closed is None else closed[0]
 
 
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
-def young_check(f, samples=1000, seed=0, dual=None):
+def young_check(f, samples=1000, seed=0):
     """Sample the Young-type inequality  f*(p) f(x) <= <p, x>.
 
     Reports the largest positive excess of f*(p)f(x) over the pairing,
-    clipped at zero; for a genuine antinorm it must stay below the dual
-    solver tolerance.  Equality is attained at minimizing pairs, e.g.
-    x = p = (1,1) for f = sqrt(2xy).  A caller that already holds f* passes
-    it as ``dual``, and its values are used instead of computing f* again.
+    clipped at zero, with f* from ``dual_values``; for a genuine antinorm
+    it must stay below the dual solver tolerance.  Equality is attained at
+    minimizing pairs, e.g. x = p = (1,1) for f = sqrt(2xy).
     """
     rng = np.random.default_rng(seed)
     d = f.dim
@@ -285,7 +279,7 @@ def young_check(f, samples=1000, seed=0, dual=None):
     face = rng.random(n_x) < 0.2
     if np.any(face):
         X[np.nonzero(face)[0], rng.integers(0, d, size=face.sum())] = 0.0
-    fstar = dual_values(f, P) if dual is None else dual._values(P)
+    fstar = dual_values(f, P)
     fx = f._values(X)
     excess = fstar[:, None] * fx[None, :] - P @ X.T
     violation = max(0.0, float(np.max(excess)))
@@ -328,14 +322,6 @@ def double_dual_check(f, samples=40, seed=0):
 # ---------------------------------------------------------------------------
 # discontinuity of the duality map
 # ---------------------------------------------------------------------------
-
-def min_eps_dual_closed(eps, p, q):
-    """Closed-form dual of min{x,y} + eps*sqrt(xy) in the regime q <= eps^2 p / 8
-    (``exprs._d_min_eps``, whose smooth branch holds up to q = eps p/(eps + 2))."""
-    if q > eps * eps * p / 8.0 + 1e-15:
-        raise ValueError("closed form only valid for q <= eps^2 p / 8")
-    return float(_d_min_eps(np.array([[p, q]], dtype=float), {"eps": eps})[0])
-
 
 @dataclass(frozen=True)
 class DiscontinuityTable(Report):

@@ -31,7 +31,7 @@ import numpy as np
 from ._search import aitken_limit, bracket_root, bracket_tol, linprog, logit_points
 from .config import DEFAULT
 from .errors import DegenerateBodyError, DimensionMismatchError, NegativeCoordinateError
-from .geometry import ConicPolytope, _prune_2d, _prune_in_order
+from .geometry import ConicPolytope, _lp_verdict, _prune_2d, _prune_in_order
 
 __all__ = [
     "Antinorm",
@@ -136,15 +136,14 @@ class Antinorm:
         """``_values`` and ``_grads`` together, for one search that yields both."""
         return self._values(X), self._grads(X)
 
-    def _dual_values(self, P):
-        """The dual f*(p) at the rows of ``P`` in closed form, or None where
-        the package knows none (``duality.dual_values`` then searches)."""
-        return None
-
-    def _dual_points(self, P):
-        """The antisphere points attaining f*(p) at the rows of ``P`` (Danskin: a
-        supergradient of f*), or None; a zero coordinate may give a non-finite row."""
-        return None
+    def _dual_support(self, P):
+        """The dual f*(p) at the rows of ``P`` and the antisphere points attaining
+        it (Danskin: a supergradient of f*) in closed form, as ``_Arc.support``
+        returns them, or None where the package knows none (``duality.dual_values``
+        then searches); here those of ``as_pl``'s form.  A zero p_i may give a
+        non-finite point."""
+        pl = as_pl(self)
+        return None if pl is None else pl._dual_support(P)
 
     @functools.cached_property
     def arc(self):
@@ -209,6 +208,14 @@ class PLAntinorm(Antinorm):
     def _grads(self, X):
         return self.functionals[np.argmin(X @ self.functionals.T, axis=1)]
 
+    def _dual_support(self, P):
+        # the dual's functionals are the body's vertices (``duality.dual_pl``), d <= 4
+        if self.dim > 4:
+            return None
+        V = self.body.vertices()
+        R = P @ V.T
+        return R.min(axis=1), V[R.argmin(axis=1)]
+
     def __repr__(self):
         return f"PLAntinorm(dim={self.dim}, n={self.functionals.shape[0]})"
 
@@ -240,7 +247,7 @@ class ProductAntinorm(Antinorm):
         """Weighted geometric mean scaled to be exactly self-dual.
 
         The dual of c * prod x^{p_i} is (c * prod p_i^{p_i})^{-1} prod x^{p_i}
-        (``_dual_values``), so self-duality requires
+        (``_dual_support``), so self-duality requires
         c = prod p_i^{-p_i/2} = exp(H(p)/2); this reduces to sqrt(d) exactly
         for uniform weights.
         """
@@ -262,14 +269,13 @@ class ProductAntinorm(Antinorm):
     def _values(self, X):
         return self.scale * self._geometric_mean(X)
 
-    def _dual_values(self, P):
+    def _dual_support(self, P):
         # weighted AM-GM with the weights w: min over x of <p, x>/f(x) is
-        # prod over w_i > 0 of (p_i/w_i)^{w_i} / c, attained at x_i = w_i/p_i
+        # v = prod over w_i > 0 of (p_i/w_i)^{w_i} / c, attained at x_i = w_i v/p_i
         w = self.weights
-        return self._geometric_mean(P / np.where(w > 0, w, 1.0)) / self.scale
-
-    def _dual_points(self, P):
-        return self.weights * self._dual_values(P)[:, None] / P
+        v = self._geometric_mean(P / np.where(w > 0, w, 1.0)) / self.scale
+        with np.errstate(divide="ignore", invalid="ignore"):   # NaN at a zero p_i
+            return v, w * v[:, None] / P
 
     def _grads(self, X):
         pos = (self.weights > 0) & (X > 0)
@@ -349,52 +355,52 @@ def _g_circle_arc(X, params):
     return (1.0 + X[:, ::-1] / r[:, None]) / params["radius"]
 
 
+def _d_sqrt2xy(P, params):
+    v = _v_sqrt2xy(P, params)   # self-dual, attained at the gradient
+    with np.errstate(divide="ignore", invalid="ignore"):   # non-finite at a zero p_i
+        return v, P[:, ::-1] / v[:, None]
+
+
 def _d_rootsum3(P, params):
-    with np.errstate(divide="ignore"):   # a zero p_i makes the sum inf and the dual 0
-        return 1.0 / np.add.reduce(1.0 / P, axis=1)
+    # attained where sqrt(x_i) = v/p_i
+    with np.errstate(divide="ignore", invalid="ignore"):   # a zero p_i: dual 0, NaN point
+        v = 1.0 / np.add.reduce(1.0 / P, axis=1)
+        return v, np.square(v[:, None] / P)
 
 
 def _d_circle_arc(P, params):
-    # min over the near arc of <p, s>, R (p1 + p2) - R |p|, without its
-    # cancellation near an axis
-    den = np.maximum(P.sum(axis=1) + np.hypot(P[:, 0], P[:, 1]), 1e-300)
-    return 2.0 * params["radius"] * P[:, 0] * P[:, 1] / den
-
-
-def _p_circle_arc(P, params):
-    # the attaining point R - R p_i/|p|, as R p_j^2/(|p| (|p| + p_i))
-    n = np.hypot(P[:, 0], P[:, 1])[:, None]
-    return params["radius"] * np.square(P[:, ::-1]) / np.maximum(n * (n + P), 1e-300)
+    # min over the near arc of <p, s>, R (p1 + p2) - R |p|, at s_i = R - R p_i/|p|
+    # = R p_j^2/(|p| (|p| + p_i)): both without their cancellation near an axis
+    R = params["radius"]
+    n = np.hypot(P[:, 0], P[:, 1])
+    den = np.maximum(P.sum(axis=1) + n, 1e-300)
+    S = R * np.square(P[:, ::-1]) / np.maximum(n[:, None] * (n[:, None] + P), 1e-300)
+    return 2.0 * R * P[:, 0] * P[:, 1] / den, S
 
 
 def _d_min_eps(P, params):
     # a = max p_i, b = min p_i: attained at (1, t^2)/(1 + eps t) in (a's, b's) coordinates,
-    # t = eps a/den, while t >= 1 (a eps >= (eps + 2) b), else at the kink (1, 1)/(1 + eps)
+    # t = eps a/den = eps f*/(2 b) while t >= 1 (a eps >= (eps + 2) b), else at the kink
     eps = params["eps"]
     a, b = P.max(axis=1), P.min(axis=1)
     den = np.maximum(b + np.sqrt(b * b + eps * eps * a * b), 1e-300)
-    return np.where(a * eps >= (eps + 2.0) * b, 2.0 * a * b / den, (a + b) / (1.0 + eps))
-
-
-def _p_min_eps(P, params):
-    # t = eps a/den = eps f*/(2 b) is >= 1 on the smooth branch, below 1 on the kink's
-    eps = params["eps"]
-    t = np.maximum(eps * _d_min_eps(P, params) / (2.0 * P.min(axis=1)), 1.0)   # NaN at b = 0
+    v = np.where(a * eps >= (eps + 2.0) * b, 2.0 * a * b / den, (a + b) / (1.0 + eps))
+    with np.errstate(divide="ignore", invalid="ignore"):   # NaN at b = 0
+        t = np.maximum(eps * v / (2.0 * b), 1.0)
     S = np.stack([np.ones_like(t), t * t], axis=1) / (1.0 + eps * t)[:, None]
-    return np.where((P[:, 0] < P[:, 1])[:, None], S[:, ::-1], S)
+    return v, np.where((P[:, 0] < P[:, 1])[:, None], S[:, ::-1], S)
 
 
 _CATALOG = {
-    # name: (dim or None for any, value fn, grad fn or None, dual fn or None,
-    # attaining-point fn or None, default params); sum and min take the exact
-    # PL dual, a None dual a search
-    "sum": (None, _v_sum, _g_sum, None, None, {}),
-    "min": (None, _v_min, _g_min, None, None, {}),
-    "sqrt2xy": (2, _v_sqrt2xy, _g_sqrt2xy, _v_sqrt2xy, _g_sqrt2xy, {}),
-    "min_eps": (2, _v_min_eps, _g_min_eps, _d_min_eps, _p_min_eps, {"eps": 0.5}),
-    "rootsum3": (3, _v_rootsum3, _g_rootsum3, _d_rootsum3, None, {}),
-    "rootsum3_drop": (3, _v_rootsum3_drop, None, None, None, {}),
-    "circle_arc": (2, _v_circle_arc, _g_circle_arc, _d_circle_arc, _p_circle_arc,
+    # name: (dim or None for any, value fn, grad fn or None, dual fn (f* and its
+    # attaining points) or None, default params); sum and min take the PL dual
+    "sum": (None, _v_sum, _g_sum, None, {}),
+    "min": (None, _v_min, _g_min, None, {}),
+    "sqrt2xy": (2, _v_sqrt2xy, _g_sqrt2xy, _d_sqrt2xy, {}),
+    "min_eps": (2, _v_min_eps, _g_min_eps, _d_min_eps, {"eps": 0.5}),
+    "rootsum3": (3, _v_rootsum3, _g_rootsum3, _d_rootsum3, {}),
+    "rootsum3_drop": (3, _v_rootsum3_drop, None, None, {}),
+    "circle_arc": (2, _v_circle_arc, _g_circle_arc, _d_circle_arc,
                    {"radius": 1.0 + math.sqrt(2.0)}),
 }
 
@@ -410,7 +416,7 @@ class BuiltinAntinorm(Antinorm):
     def __init__(self, name, dim=None, **params):
         if name not in _CATALOG:
             raise KeyError(f"unknown catalog antinorm {name!r}; have {sorted(_CATALOG)}")
-        fixed_dim, vfn, gfn, dfn, pfn, defaults = _CATALOG[name]
+        fixed_dim, vfn, gfn, dfn, defaults = _CATALOG[name]
         if fixed_dim is not None:
             if dim is not None and dim != fixed_dim:
                 raise DimensionMismatchError(f"{name!r} is {fixed_dim}-dimensional")
@@ -420,9 +426,7 @@ class BuiltinAntinorm(Antinorm):
         self.name = name
         self.dim = int(dim)
         self.params = {**defaults, **params}
-        self._vfn = vfn
-        self._gfn = gfn
-        self._dfn, self._pfn = dfn, pfn
+        self._vfn, self._gfn, self._dfn = vfn, gfn, dfn
 
     def _values(self, X):
         return self._vfn(X, self.params)
@@ -432,11 +436,8 @@ class BuiltinAntinorm(Antinorm):
             return super()._grads(X)
         return self._gfn(X, self.params)
 
-    def _dual_values(self, P):
-        return None if self._dfn is None else self._dfn(P, self.params)
-
-    def _dual_points(self, P):
-        return None if self._pfn is None else self._pfn(P, self.params)
+    def _dual_support(self, P):
+        return super()._dual_support(P) if self._dfn is None else self._dfn(P, self.params)
 
     def __repr__(self):
         extra = f", {self.params}" if self.params else ""
@@ -661,14 +662,15 @@ class ConeSplitAntinorm(Antinorm):
 
     The ray through ``apex`` (a unit vector) splits the orthant into K1 and
     K2.  On K2 the value is  min over the K1 antisphere of <s, x>, and the
-    attaining point s is the supergradient (Danskin).  Where f1 has the
-    point attaining its dual in closed form (``_dual_points``), s is that
+    attaining point s is the supergradient (Danskin).  Where f1 has both in
+    closed form (``_dual_support``: products, the smooth catalog, and a
+    piecewise-linear piece, whose point is a vertex of its body), s is that
     point and the value f1*(x), or, for a point outside K1, the K1 end
-    apex/f1(apex), as <x, s> is unimodal along the arc.  Elsewhere, and where
-    that point is not finite, one ``_Arc`` of ``grid_n`` points evenly spaced
-    in the logit of K1 (apex ray to +-45, next to the axis), built on first
-    use, closes the cell holding the tangency x || grad f1(s), so each value
-    is accurate to the smoothness of f1 rather than to the table spacing.
+    apex/f1(apex), as <x, s> is unimodal along the arc.  Elsewhere, and
+    where that point is not finite, one ``_Arc`` of ``grid_n`` points evenly
+    spaced in the logit of K1 (apex ray to +-45, next to the axis), built on
+    first use, closes the cell holding the tangency x || grad f1(s), so each
+    value is accurate to the smoothness of f1 rather than to the table spacing.
     """
 
     def __init__(self, f1, apex, side="upper", grid_n=20000):
@@ -700,13 +702,14 @@ class ConeSplitAntinorm(Antinorm):
 
     def _k2(self, X):
         """Values and attaining K1 antisphere points at the K2 rows X."""
+        closed = self.f1._dual_support(X)
+        if closed is None:
+            return self._arc.support(X)
+        v, S = closed
         with np.errstate(divide="ignore", invalid="ignore"):   # non-finite rows take the table
-            S = self.f1._dual_points(X)
-            if S is None:
-                return self._arc.support(X)
             clip = ~self._in_k1(S) & np.all(np.isfinite(S), axis=1)
             S = np.where(clip[:, None], self.apex / self.f1._values(self.apex[None])[0], S)
-            v = np.where(clip, np.einsum("ij,ij->i", S, X), self.f1._dual_values(X))
+            v = np.where(clip, np.einsum("ij,ij->i", S, X), v)
         table = ~np.all(np.isfinite(S), axis=1)
         if np.any(table):
             v[table], S[table] = self._arc.support(X[table])
@@ -757,7 +760,8 @@ class CallableAntinorm(Antinorm):
 # ---------------------------------------------------------------------------
 
 def _dominated_by_hull(row, others, tol):
-    """True if some convex combination of ``others`` is <= row componentwise."""
+    """True if some convex combination of ``others`` is <= row componentwise;
+    ``DegenerateBodyError`` where the LP decides nothing (``geometry._lp_verdict``)."""
     n = others.shape[0]
     if n == 0:
         return False
@@ -770,7 +774,7 @@ def _dominated_by_hull(row, others, tol):
         bounds=[(0, None)] * n,
         method="highs",
     )
-    return res.status == 0
+    return _lp_verdict(res)
 
 
 def canonicalize_pl(f):

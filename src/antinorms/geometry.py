@@ -272,6 +272,14 @@ def _prune_2d(points, tol):
     return np.array(hull).reshape(-1, 2)
 
 
+def _lp_verdict(res):
+    """A redundancy LP's verdict from its HiGHS status: 0 (feasible) is
+    redundant, 2 (infeasible) is not, and any other decides nothing."""
+    if res.status not in (0, 2):
+        raise DegenerateBodyError(f"redundancy LP undecided: HiGHS status {res.status}")
+    return res.status == 0
+
+
 def _lp_redundant(v, others, tol):
     """Whether a convex combination of ``others`` is <= v + tol componentwise.
 
@@ -290,9 +298,8 @@ def _lp_redundant(v, others, tol):
       Not redundant.
 
     Either verdict is the exact LP's, and HiGHS's wherever it solves the
-    LP, so the LP runs only where neither holds.  (On badly scaled rows
-    HiGHS can stop with an unknown status, which counts as not redundant;
-    a chord there is still a witness.)  The grid has resolution 64 in
+    LP, so the LP runs only where neither holds; a status that decides
+    nothing raises (``_lp_verdict``).  The grid has resolution 64 in
     d = 3 and 24 in d = 4 (the one ``duality._dual_nd`` uses), 16 above.
     """
     n, d = others.shape
@@ -319,7 +326,7 @@ def _lp_redundant(v, others, tol):
         bounds=[(0, None)] * n,
         method="highs",
     )
-    return res.status == 0
+    return _lp_verdict(res)
 
 
 def _extreme_by_direction(pts, tol):
@@ -387,7 +394,8 @@ def prune_positive_hull(points):
     single-row and coarse direction certificates decide most points, and
     ``_lp_redundant`` the rest, by a chord certificate, a fine direction
     certificate and, for the points both leave open, one LP.  Raises
-    ``DegenerateBodyError`` on a non-finite point, before any of these run.
+    ``DegenerateBodyError`` on a non-finite point, before any of these run,
+    and where an LP ends undecided.
     """
     tol = 1e-10
     pts = np.atleast_2d(np.asarray(points, dtype=float))

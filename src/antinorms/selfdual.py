@@ -268,9 +268,10 @@ def construct1(f1, apex, side="upper", grid_n=20000, verify=True):
     i.e. the antisphere of f1 stays behind the line orthogonal to the apex
     ray, checked as <apex, s> >= 1 - 1e-9 at the points s of the K1 table
     (``ConeSplitAntinorm._arc``).  The restricted dual
-    f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is f1's closed-form dual point
-    clipped at the apex where f1 has one, and support-function minimization
-    over that table only where it has none.  The glued function is
+    f2(x) = inf_{x1 in K1} <x1, x>/f1(x1) is read at the point attaining f1's
+    dual, clipped at the apex, where f1 has it in closed form (``_dual_support``,
+    a vertex for a PL piece), and by support-function minimization over that
+    table only where it has none.  The glued function is
     self-dual; with ``verify`` it is checked by ``is_selfdual`` (tol 1e-6,
     160 points).
     """
@@ -402,9 +403,9 @@ def _probe_grid(dim, n):
 def is_selfdual(f, tol=1e-7, n_grid=1000):
     """Decide f* = f by comparing dual and primal values on a probe grid.
 
-    The dual values come from ``dual_values``: exact for piecewise-linear
-    antinorms, closed form for products, ``sqrt2xy``, ``min_eps``,
-    ``circle_arc`` and ``rootsum3``, numeric otherwise.  Returns ``(verdict, max deviation)``.
+    The dual values come from ``dual_values``: the closed form
+    ``f._dual_support`` where f has one (exact for piecewise-linear input),
+    numeric otherwise.  Returns ``(verdict, max deviation)``.
     """
     X = _probe_grid(f.dim, n_grid)
     dev = float(np.max(np.abs(dual_values(f, X) - f._values(X))))

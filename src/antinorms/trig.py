@@ -289,10 +289,10 @@ class TrigContext:
         c, s = math.cos(self.frame_angle), math.sin(self.frame_angle)
         return np.stack([c * P[..., 0] + s * P[..., 1], -s * P[..., 0] + c * P[..., 1]], axis=-1)
 
-    def theta_of_point(self, P, tol=1e-9):
+    def theta_of_point(self, P):
         P = as_point(P, 2)
         fp = self.f.value(P)
-        if abs(fp - 1.0) > tol:
+        if abs(fp - 1.0) > 1e-9:
             raise ThetaRangeError(f"f(P) = {fp!r}; point is not on the antisphere")
         th = self._theta(P[None])[0]
         if math.isnan(th):

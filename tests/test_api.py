@@ -28,7 +28,6 @@ DEFAULTED = [
     "duality.double_dual_check(seed)",
     "duality.dual_numeric(tol)",
     "duality.duality_discontinuity_demo(seed)",
-    "duality.young_check(dual)",
     "duality.young_check(samples)",
     "duality.young_check(seed)",
     "dynamics.BodyIterationResult.__init__(stalled)",
@@ -73,7 +72,6 @@ DEFAULTED = [
     "svgplot.render(points)",
     "trig.TrigContext.__init__(mode)",
     "trig.TrigContext.build(mode)",
-    "trig.TrigContext.theta_of_point(tol)",
     "trig.identity_check(ctx_dual)",
     "trig.identity_check(n_samples)",
     "trig.identity_check(thetas)",

@@ -11,11 +11,12 @@ from antinorms import (
     ProductAntinorm,
     canonicalize_pl,
     catalog,
+    construct2,
     double_dual_check,
     dual_numeric,
     dual_pl,
     duality_discontinuity_demo,
-    min_eps_dual_closed,
+    random_autopolar_seed,
     symmetrize,
     young_check,
 )
@@ -241,7 +242,7 @@ def test_dual_values_takes_the_closed_form_without_a_search(f, monkeypatch):
     monkeypatch.setattr(duality, "_dual2_batch", numeric)
     monkeypatch.setattr(duality, "minimize", numeric)
     P = np.random.default_rng(4).lognormal(0.0, 1.0, size=(25, f.dim))
-    assert np.array_equal(dual_values(f, P), f._dual_values(P))
+    assert np.array_equal(dual_values(f, P), f._dual_support(P)[0])
 
 
 @pytest.mark.parametrize("f", _CLOSED_FORMS, ids=_CLOSED_IDS)
@@ -297,6 +298,52 @@ def test_closed_form_duals_and_cone_splits_run_no_tangency_search(f1, monkeypatc
             assert "_arc" not in vars(f)   # nor is the K1 table built
 
 
+@pytest.mark.parametrize("f", _CLOSED_FORMS, ids=_CLOSED_IDS)
+def test_closed_form_dual_support_points_lie_on_the_antisphere(f):
+    P = np.random.default_rng(10).lognormal(0.0, 1.0, size=(100, f.dim))
+    v, S = f._dual_support(P)
+    assert np.max(np.abs(f._values(S) - 1.0)) <= 1e-13
+    assert np.max(np.abs(np.einsum("ij,ij->i", P, S) / v - 1.0)) <= 1e-13
+
+
+def test_pl_dual_support_is_the_attaining_body_vertex():
+    rng = np.random.default_rng(27)
+    for d in (2, 3, 4):
+        for _ in range(8):
+            f = PLAntinorm(rng.lognormal(0.0, 1.0, size=(rng.integers(1, 7), d)))
+            V = f.body.vertices()
+            P = rng.lognormal(0.0, 1.0, size=(50, d))
+            P[:10, rng.integers(0, d)] = 0.0
+            v, S = f._dual_support(P)
+            match = np.all(S[:, None, :] == V[None, :, :], axis=2)   # (rows, vertices)
+            assert np.all(match.sum(axis=1) == 1)
+            R = P @ V.T
+            assert np.array_equal(R[match], v) and np.array_equal(v, R.min(axis=1))
+    assert PLAntinorm(np.eye(5))._dual_support(np.ones((1, 5))) is None   # no vertex enumeration
+
+
+def test_cone_split_of_a_pl_piece_answers_k2_from_its_body():
+    # the PL piece of construct1's k = 1 test and autopolar polygons split at
+    # random apexes: on K2, the body's vertex clipped at the apex against the
+    # K1 table's support query, which is never built for the answer
+    rng = np.random.default_rng(5)
+    pieces = [(PLAntinorm([[0.6, 0.8], [0.0, 1.25]]), (0.6, 0.8))]
+    for k in range(1, 9):
+        poly = construct2(random_autopolar_seed(k, rng)).antinorm()
+        pieces += [(poly, (math.cos(t), math.sin(t))) for t in rng.uniform(0.05, 1.52, 2)]
+    for f1, apex in pieces:
+        for side in ("upper", "lower"):
+            f = ConeSplitAntinorm(f1, apex, side=side, grid_n=4096)
+            X = rng.lognormal(0.0, 1.0, size=(100, 2))
+            X = X[~f._in_k1(X)]
+            v, S = f._values_grads(X)
+            assert len(X) and "_arc" not in vars(f)
+            table_v, table_S = f._arc.support(X)
+            assert np.all(np.abs(v - table_v) <= 1e-14 * table_v)
+            assert np.all(np.linalg.norm(S - table_S, axis=1)
+                          <= 1e-13 * np.linalg.norm(table_S, axis=1))
+
+
 def test_closed_form_dual_of_a_selfdual_product_is_itself():
     # each side is exp of a weighted sum of logs; its rounding grows with
     # the size of the logs, 4 ulps per unit of sum_i w_i |log p_i|
@@ -318,6 +365,15 @@ def test_discontinuity_demo_values():
     assert tab.max_bound_excess <= 1e-8
 
 
+def _min_eps_smooth_dual(eps, P):
+    # min over t of <p, (1, t^2)>/(1 + eps t) for p = (a, b), a >= b: the
+    # stationary t solves eps b t^2 + 2 b t - eps a = 0; the root is written
+    # without cancellation.  It is the dual where t >= 1, i.e. b <= eps a/(eps + 2)
+    a, b = P.max(axis=1), P.min(axis=1)
+    t = eps * a / (b + np.sqrt(b * b + eps * eps * a * b))
+    return (a + b * t * t) / (1.0 + eps * t)
+
+
 def test_min_eps_closed_form_and_bound():
     eps = 0.4
     f = catalog("min_eps", eps=eps)
@@ -325,14 +381,9 @@ def test_min_eps_closed_form_and_bound():
     q = np.exp(rng.uniform(math.log(1e-8), math.log(eps**2 / 8), size=60))
     P = np.stack([np.ones_like(q), q], axis=1)
     vals = _dual2_batch(f, P)
-    for v, qi in zip(vals, q):
-        assert v == pytest.approx(min_eps_dual_closed(eps, 1.0, qi), abs=1e-9)
+    for v, qi, closed in zip(vals, q, _min_eps_smooth_dual(eps, P)):
+        assert v == pytest.approx(closed, abs=1e-9)
         assert v <= (2.0 / eps) * math.sqrt(qi) + 1e-12
-
-
-def test_min_eps_closed_form_regime_guard():
-    with pytest.raises(ValueError):
-        min_eps_dual_closed(0.4, 1.0, 1.0)
 
 
 def test_young_report_rendering():
@@ -359,8 +410,7 @@ def test_dual2_batch_matches_closed_forms_to_1e13():
     for eps in (0.3, 0.9):
         Q = P[P[:, 1] <= eps * eps * P[:, 0] / 8.0]
         assert len(Q) >= 10
-        cases.append((catalog("min_eps", eps=eps), Q,
-                      np.array([min_eps_dual_closed(eps, p, q) for p, q in Q])))
+        cases.append((catalog("min_eps", eps=eps), Q, _min_eps_smooth_dual(eps, Q)))
     for side in ("upper", "lower"):   # self-dual, so its dual is itself
         f = ConeSplitAntinorm(catalog("circle_arc", radius=R), apex, side=side, grid_n=4096)
         cases.append((f, P, np.where(f._in_k1(P), f.f1._values(P), _circle_arc_dual(R, P))))
@@ -388,7 +438,7 @@ def test_min_eps_kink_on_the_table_grid_closes_without_a_search():
     q = np.exp(np.random.default_rng(13).uniform(math.log(1e-6), math.log(eps**2 / 8), 100))
     Q = np.stack([np.ones_like(q), q], axis=1)
     Q = np.concatenate([Q, Q[:, ::-1]])
-    closed = np.array([min_eps_dual_closed(eps, *sorted(p, reverse=True)) for p in Q])
+    closed = _min_eps_smooth_dual(eps, Q)
     assert np.max(np.abs(_dual2_batch(f, Q) / closed - 1.0)) <= 1e-13
 
 

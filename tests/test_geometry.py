@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from antinorms import (
     prune_positive_hull,
     vertices_of,
 )
-from antinorms import geometry
+from antinorms import exprs, geometry
 from antinorms.geometry import _dedupe_sorted, _lp_redundant
 
 
@@ -278,6 +280,24 @@ def test_prune_sends_a_three_point_combination_to_the_lp(monkeypatch):
     assert calls["linprog"] == 1
     assert prune_positive_hull(np.vstack([rows, np.ones(3)])).tolist() == rows.tolist()
     assert calls["linprog"] == 2
+
+
+def _undecided_lp(*args, **kwargs):
+    # what HiGHS returns when it stops with an unknown model status
+    return SimpleNamespace(status=4)
+
+
+def test_prune_raises_where_the_lp_decides_nothing(monkeypatch):
+    # the three-point combination above reaches the LP, whose status 4 is no verdict
+    monkeypatch.setattr(geometry, "linprog", _undecided_lp)
+    with pytest.raises(DegenerateBodyError, match="status 4"):
+        prune_positive_hull(np.vstack([3.0 * np.eye(3), np.ones(3)]))
+
+
+def test_canonicalize_raises_where_the_lp_decides_nothing(monkeypatch):
+    monkeypatch.setattr(exprs, "linprog", _undecided_lp)
+    with pytest.raises(DegenerateBodyError, match="status 4"):
+        canonicalize_pl(PLAntinorm(np.vstack([3.0 * np.eye(3), np.ones(3)])))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -96,7 +96,7 @@ def _rounding_size(f, P):
 def test_closed_form_dual_point_is_on_the_antisphere_and_attains_the_dual(f, seed):
     u = np.finfo(float).eps
     P = np.random.default_rng(seed).lognormal(0.0, 2.0, size=(64, 2))
-    S, fstar = f._dual_points(P), f._dual_values(P)
+    fstar, S = f._dual_support(P)
     size = _rounding_size(f, P)
     assert np.all(np.abs(f._values(S) - 1.0) <= 4.0 * u * size)
     assert np.all(np.abs(np.einsum("ij,ij->i", P, S) - fstar) <= 4.0 * u * size * fstar)
@@ -121,7 +121,7 @@ def test_cone_split_k2_closed_form_matches_its_k1_table(f1, apex, side, seed):
     assert np.all(np.abs(v - table_v) <= 1e-14 * table_v)
     assert np.all(np.linalg.norm(S - table_S, axis=1) <= 1e-6 * np.linalg.norm(table_S, axis=1))
     # a point whose unrestricted minimizer leaves K1 takes the apex end
-    clipped = ~f._in_k1(f1._dual_points(X))
+    clipped = ~f._in_k1(f1._dual_support(X)[1])
     assert np.all(f._in_k1(S[~clipped]))
     end = np.asarray(apex) / f1.value(apex)
     assert np.all(S[clipped] == end)
